@@ -1,38 +1,29 @@
 """Exact pattern avoidance for permutations and multiset words, with the
 matching 0-1 matrix extremal function and bipartite-graph contraction."""
 
-from .bigraphs import (BipartiteGraph, BoundRecord, ContractionPlan, Power,
-                       adjacency, bounds, census_avoiding_graphs, contract,
-                       fiber_size, graph_of_word, ordered_contains,
-                       ordered_contains_bruteforce, pattern_graph)
-from .counting import (CountRecord, catalan, count_avoiders,
-                       count_avoiders_bruteforce, count_multiset_avoiders,
-                       count_multiset_avoiders_bruteforce, iter_words,
+from .bigraphs import (BipartiteGraph, ContractionPlan, bounds,
+                       census_avoiding_graphs, contract, fiber_size,
+                       graph_of_word, ordered_contains)
+from .counting import (catalan, count_avoiders, count_multiset_avoiders,
                        records_to_csv, records_to_json, sequence,
                        stirling_approx, stirling_count, total_words)
 from .errors import BudgetExceeded, ParseError
-from .matrices import (BinaryMatrix, ExtremalRecord, dq_estimate, extremal_f,
-                       extremal_table, matrix_contains, perm_to_matrix,
-                       reverse_cols, reverse_rows)
-from .verify import Check, RunManifest, run_suite
-from .words import (MultisetSpec, Word, avoids, canonical_form, canonicalize,
-                    complement, contained_patterns, contains,
-                    contains_bruteforce, find_occurrence, reverse, symmetries,
-                    validate_word)
+from .matrices import (BinaryMatrix, dq_estimate, extremal_f, extremal_table,
+                       perm_to_matrix)
+from .verify import RunManifest, run_suite
+from .words import (MultisetSpec, Word, canonicalize, complement,
+                    contained_patterns, contains, find_occurrence, reverse)
 
+# The operations the CLI and the README use; everything else is reached
+# through its module.
 __all__ = [
-    "BinaryMatrix", "BipartiteGraph", "BoundRecord", "BudgetExceeded",
-    "Check", "ContractionPlan", "CountRecord", "ExtremalRecord",
-    "MultisetSpec", "ParseError", "Power", "RunManifest", "Word",
-    "adjacency", "avoids", "bounds", "canonical_form", "canonicalize",
-    "catalan", "census_avoiding_graphs", "complement", "contained_patterns",
-    "contains", "contains_bruteforce", "contract", "count_avoiders",
-    "count_avoiders_bruteforce", "count_multiset_avoiders",
-    "count_multiset_avoiders_bruteforce", "dq_estimate", "extremal_f",
-    "extremal_table", "fiber_size", "find_occurrence", "graph_of_word",
-    "iter_words", "matrix_contains", "ordered_contains",
-    "ordered_contains_bruteforce", "pattern_graph", "perm_to_matrix",
-    "records_to_csv", "records_to_json", "reverse", "reverse_cols",
-    "reverse_rows", "run_suite", "sequence", "stirling_approx",
-    "stirling_count", "symmetries", "total_words", "validate_word",
+    "BinaryMatrix", "BipartiteGraph", "BudgetExceeded", "ContractionPlan",
+    "MultisetSpec", "ParseError", "RunManifest", "Word", "bounds",
+    "canonicalize", "catalan", "census_avoiding_graphs", "complement",
+    "contained_patterns", "contains", "contract", "count_avoiders",
+    "count_multiset_avoiders", "dq_estimate", "extremal_f", "extremal_table",
+    "fiber_size", "find_occurrence", "graph_of_word", "ordered_contains",
+    "perm_to_matrix", "records_to_csv", "records_to_json", "reverse",
+    "run_suite", "sequence", "stirling_approx", "stirling_count",
+    "total_words",
 ]

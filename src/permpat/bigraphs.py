@@ -10,9 +10,10 @@ is the image of exactly 2^m - 1 edge sets.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 from itertools import combinations
 
 from .errors import BudgetExceeded, ParseError
@@ -97,15 +98,6 @@ class ContractionPlan:
     @property
     def length(self) -> int:
         return self.spec.length
-
-    @property
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        out = []
-        start = 1
-        for m in self.spec.multiplicities:
-            out.append(tuple(range(start, start + m)))
-            start += m
-        return tuple(out)
 
     def block_of(self) -> tuple[int, ...]:
         """block_of()[p-1] is the 1-indexed block containing position p."""
@@ -205,6 +197,13 @@ def adjacency(G: BipartiteGraph) -> BinaryMatrix:
     return BinaryMatrix(tuple(tuple(row) for row in cells))
 
 
+def graph_of_matrix(M: BinaryMatrix) -> BipartiteGraph:
+    """Inverse of adjacency: rows become left vertices, columns right ones."""
+    return BipartiteGraph(M.rows, M.cols, frozenset(
+        (r, c) for r, row in enumerate(M.cells, start=1)
+        for c, v in enumerate(row, start=1) if v))
+
+
 def contract(G: BipartiteGraph, plan: ContractionPlan) -> BipartiteGraph:
     """Merge each left block to one vertex, keeping an edge (i, j) when any
     block member had an edge to j."""
@@ -256,6 +255,8 @@ def census_avoiding_graphs(n: int, m: int, pattern: Word, *, workers: int = 1,
         raise ValueError("n and m must be >= 1")
     if not pattern.is_permutation:
         raise ValueError("census pattern must be an ordinary permutation")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     cells = n * m * n
     if cells > max_cells:
         raise BudgetExceeded(
@@ -301,15 +302,24 @@ class Power:
 
     def __str__(self) -> str:
         if self.is_exact:
-            return str(self.value)
+            return _decimal(self.value)
         return f"{self.base}^({self.exponent})"
 
     def as_dict(self) -> dict:
         return {
             "base": self.base,
             "exponent": str(self.exponent),
-            "value": None if self.value is None else str(self.value),
+            "value": None if self.value is None else _decimal(self.value),
         }
+
+
+def _decimal(value: int) -> str:
+    """Exact decimal digits of an integer of any size.
+
+    str(int) refuses values past the interpreter's digit limit (4300
+    digits by default); Decimal conversion is exact and not limited.
+    """
+    return str(Decimal(value))
 
 
 @dataclass(frozen=True)

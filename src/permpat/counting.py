@@ -91,7 +91,8 @@ def stirling_count(n: int, m: int) -> int:
         binom *= x - i
     binom /= math.factorial(n)
     value = math.factorial(n) * m**n * binom
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise ArithmeticError(f"closed form gave a non-integer at n={n}, m={m}")
     return int(value)
 
 
@@ -168,6 +169,8 @@ def count_multiset_avoiders(spec: MultisetSpec, pattern: Word, *,
     partial counts are summed exactly, so the total is independent of
     scheduling.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     total = total_words(spec)
     if total > max_total:
         raise BudgetExceeded(

@@ -166,6 +166,17 @@ _SIDE_LIMIT = {1: 6, 2: 6, 3: 4}
 _FALLBACK_LIMIT = 3
 
 
+def _check_request(n: int, pattern: BinaryMatrix, max_n: int | None) -> None:
+    """Refuse a pattern or a size before any search starts."""
+    if not pattern.is_permutation_matrix:
+        raise ValueError("pattern must be a permutation matrix")
+    cap = _SIDE_LIMIT.get(pattern.rows, _FALLBACK_LIMIT) if max_n is None else max_n
+    if n > cap:
+        raise BudgetExceeded(
+            f"exact extremal search limited to n <= {cap} for a "
+            f"{pattern.rows}x{pattern.cols} pattern (asked n = {n})")
+
+
 def extremal_f(n: int, pattern: BinaryMatrix, *,
                max_n: int | None = None) -> ExtremalRecord:
     """Largest number of 1s an n x n matrix avoiding `pattern` can have.
@@ -178,13 +189,7 @@ def extremal_f(n: int, pattern: BinaryMatrix, *,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if not pattern.is_permutation_matrix:
-        raise ValueError("pattern must be a permutation matrix")
-    cap = _SIDE_LIMIT.get(pattern.rows, _FALLBACK_LIMIT) if max_n is None else max_n
-    if n > cap:
-        raise BudgetExceeded(
-            f"exact extremal search limited to n <= {cap} for a "
-            f"{pattern.rows}x{pattern.cols} pattern (asked n = {n})")
+    _check_request(n, pattern, max_n)
 
     qcells = pattern.cells
     grid = [[0] * n for _ in range(n)]
@@ -217,9 +222,11 @@ def extremal_f(n: int, pattern: BinaryMatrix, *,
 
 def extremal_table(pattern: BinaryMatrix, n_max: int, *,
                    max_n: int | None = None) -> list[ExtremalRecord]:
-    """extremal_f for every n = 1..n_max."""
+    """extremal_f for every n = 1..n_max; refuses up front when n_max
+    exceeds the size guard."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    _check_request(n_max, pattern, max_n)
     return [extremal_f(n, pattern, max_n=max_n) for n in range(1, n_max + 1)]
 
 

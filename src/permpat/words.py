@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import ParseError
 
@@ -125,11 +125,6 @@ class MultisetSpec:
         return ",".join(str(m) for m in self.multiplicities)
 
 
-class Symmetries(NamedTuple):
-    reverse: Word
-    complement: Word
-
-
 def validate_word(word: Word, spec: MultisetSpec) -> bool:
     """True iff value i occurs exactly spec.multiplicities[i-1] times."""
     counts = [0] * spec.n
@@ -163,10 +158,6 @@ def complement(word: Word) -> Word:
     """Map each value v to max+1-v."""
     top = word.max_value + 1
     return Word(tuple(top - v for v in word.entries))
-
-
-def symmetries(word: Word) -> Symmetries:
-    return Symmetries(reverse(word), complement(word))
 
 
 def _ranks(pattern: Sequence[int]) -> tuple[tuple[int, ...], int]:
@@ -270,10 +261,6 @@ def contains(word: Word, pattern: Word) -> bool:
     distinct positions; e.g. 1214324 contains 122 (via 1,4,4) but not 211.
     """
     return _embed(word.entries, pattern.entries) is not None
-
-
-def avoids(word: Word, pattern: Word) -> bool:
-    return not contains(word, pattern)
 
 
 def find_occurrence(word: Word, pattern: Word) -> tuple[int, ...] | None:

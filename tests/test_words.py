@@ -5,7 +5,7 @@ from permpat.errors import ParseError
 from permpat.words import (MultisetSpec, Word, canonical_form, canonicalize,
                            complement, contained_patterns, contains,
                            contains_bruteforce, find_occurrence, reverse,
-                           symmetries, validate_word)
+                           validate_word)
 
 
 def W(text):
@@ -169,11 +169,6 @@ class TestSymmetries:
         assert reverse(W("312")) == W("213")
         assert complement(W("312")) == W("132")
         assert reverse(W("1212")) == W("2121")
-
-    def test_symmetries_tuple(self):
-        sym = symmetries(W("312"))
-        assert sym.reverse == W("213")
-        assert sym.complement == W("132")
 
     @given(_words())
     def test_involutions(self, w):
