@@ -267,7 +267,8 @@ def census_avoiding_graphs(n: int, m: int, pattern: Word, *, workers: int = 1,
         step = (1 << cells) // chunks
         bounds_list = [(k * step, (k + 1) * step if k < chunks - 1 else 1 << cells)
                        for k in range(chunks)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool starts every worker up front, so start no idle ones
+        with ProcessPoolExecutor(max_workers=min(workers, chunks)) as pool:
             parts = pool.map(_census_range,
                              [a] * chunks, [b] * chunks,
                              [lo for lo, _ in bounds_list],

@@ -178,7 +178,8 @@ def count_multiset_avoiders(spec: MultisetSpec, pattern: Word, *,
     entries = pattern.entries
     if workers > 1:
         firsts = [v for v in range(1, spec.n + 1) if spec.multiplicities[v - 1]]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool starts every worker up front, so start no idle ones
+        with ProcessPoolExecutor(max_workers=min(workers, len(firsts))) as pool:
             parts = pool.map(_count_task,
                              [spec.multiplicities] * len(firsts),
                              [entries] * len(firsts), firsts)

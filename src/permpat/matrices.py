@@ -136,6 +136,54 @@ def _cells_contains(pcells: Sequence[Sequence[int]],
     return False
 
 
+def _cell_plan(qcells: Sequence[Sequence[int]]) -> tuple:
+    """What _occurs_using_cell needs of a permutation pattern: its side k,
+    the column s of its last row's 1, and, for the pattern columns left and
+    right of s in order, the pattern row holding each column's 1."""
+    row_of = {row.index(1): r for r, row in enumerate(qcells)}
+    k, s = len(qcells), qcells[-1].index(1)
+    return (k, s, tuple(row_of[j] for j in range(s)),
+            tuple(row_of[j] for j in range(s + 1, k)))
+
+
+def _occurs_using_cell(grid: Sequence[Sequence[int]], r: int, c: int,
+                       plan: tuple) -> bool:
+    """Is there an occurrence of the planned permutation pattern in `grid`
+    that puts one of its 1s on cell (r, c)?
+
+    Requires every cell after (r, c) in row-major order to be 0.  Then row
+    r is the lowest nonzero row, so the occurrence maps the pattern's last
+    row to row r and that row's 1 to column c; its other k-1 rows are
+    chosen among rows 0..r-1.  For a fixed choice the columns left of c
+    and right of c are matched greedily, as in _cells_contains.
+    """
+    k, s, left, right = plan
+    n = len(grid[r])
+    if r < k - 1 or c < s or n - 1 - c < len(right):
+        return False
+    for rows in combinations(grid[:r], k - 1):
+        j = 0
+        for i in left:
+            row = rows[i]
+            while j < c and not row[j]:
+                j += 1
+            if j == c:
+                break
+            j += 1
+        else:
+            j = c + 1
+            for i in right:
+                row = rows[i]
+                while j < n and not row[j]:
+                    j += 1
+                if j == n:
+                    break
+                j += 1
+            else:
+                return True
+    return False
+
+
 def matrix_contains(P: BinaryMatrix, Q: BinaryMatrix) -> bool:
     """Does P contain Q as a submatrix pattern (1s of Q dominated)?"""
     return _cells_contains(P.cells, Q.cells)
@@ -161,8 +209,10 @@ class ExtremalRecord:
         }
 
 
-# Exhaustive search guards, keyed by pattern side length.
-_SIDE_LIMIT = {1: 6, 2: 6, 3: 4}
+# Exhaustive search guards, keyed by pattern side length.  The first
+# refused sizes take about 110 s (2x2, n = 8) and 31 s (3x3, n = 6) for the
+# slowest pattern, against 8 s and 0.2 s at the largest admitted ones.
+_SIDE_LIMIT = {1: 6, 2: 7, 3: 5}
 _FALLBACK_LIMIT = 3
 
 
@@ -184,14 +234,18 @@ def extremal_f(n: int, pattern: BinaryMatrix, *,
     Branch-and-bound over cells in row-major order, trying a 1 before a 0.
     A branch dies when its partial grid already contains the pattern, or
     when current count + undecided cells cannot beat the best found.  The
-    witness returned is the first optimum in this order, i.e. the
-    lexicographically largest optimal bit string.
+    partial grid avoids the pattern before each new 1, so only occurrences
+    through that 1 are tested (_occurs_using_cell).  The witness returned
+    is the first optimum in this order, i.e. the lexicographically largest
+    optimal bit string; it is re-checked with the full _cells_contains
+    before it is returned.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_request(n, pattern, max_n)
 
     qcells = pattern.cells
+    plan = _cell_plan(qcells)
     grid = [[0] * n for _ in range(n)]
     total_cells = n * n
     best_value = -1
@@ -208,13 +262,16 @@ def extremal_f(n: int, pattern: BinaryMatrix, *,
             return
         r, c = divmod(idx, n)
         grid[r][c] = 1
-        if not _cells_contains(grid, qcells):
+        if not _occurs_using_cell(grid, r, c, plan):
             search(idx + 1, count + 1)
         grid[r][c] = 0
         search(idx + 1, count)
 
     search(0, 0)
-    assert best_grid is not None
+    if (best_grid is None or sum(map(sum, best_grid)) != best_value
+            or _cells_contains(best_grid, qcells)):
+        raise ArithmeticError(
+            f"extremal search produced an invalid witness for n = {n}")
     return ExtremalRecord(n=n, pattern=pattern, value=best_value,
                           witness=BinaryMatrix(best_grid),
                           slope=Fraction(best_value, n))

@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from permpat import bigraphs, counting
 from permpat.verify import run_suite
 
 
@@ -12,3 +13,28 @@ def verify_all():
     start = time.perf_counter()
     manifest = run_suite("all", seed=0)
     return manifest, time.perf_counter() - start
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the process pool of the counting and census drivers with an
+    inline map that starts no process; returns the list of the max_workers
+    values each pool was asked for."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return list(map(fn, *iterables))
+
+    monkeypatch.setattr(counting, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(bigraphs, "ProcessPoolExecutor", InlinePool)
+    return sizes

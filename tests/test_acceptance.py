@@ -46,7 +46,8 @@ def test_multinomial_totals(verify_all):
 
 def test_furedi_hajnal_desk_scale(verify_all):
     criterion(verify_all, "extremal line for the increasing pair",
-              ["matrix:identity-extremal-line", "matrix:witness-validity"],
+              ["matrix:identity-extremal-line", "matrix:witness-validity",
+               "matrix:furedi-hajnal"],
               bound_s=300.0)
 
 

@@ -231,6 +231,11 @@ class TestCensus:
         assert (census_avoiding_graphs(2, 2, W("12"), workers=2)
                 == census_avoiding_graphs(2, 2, W("12")))
 
+    def test_workers_capped_at_tasks(self, inline_pool):
+        # one cell gives 2 masks, hence 2 ranges: start 2 workers, not 500
+        assert census_avoiding_graphs(1, 1, W("1"), workers=500) == 1
+        assert inline_pool == [2]
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_invalid_workers(self, workers):
         with pytest.raises(ValueError, match="workers"):

@@ -117,7 +117,7 @@ class TestExtremalCommand:
         path = tmp_path / "id2.txt"
         path.write_text("10\n01\n")
         code, _, err = run(capsys, "extremal", "--matrix-file", str(path),
-                           "--n-max", "7")
+                           "--n-max", "8")
         assert code == 3
 
     def test_bad_matrix(self, capsys, tmp_path):

@@ -57,6 +57,11 @@ class TestCountAvoiders:
         q = W("132")
         assert count_avoiders(7, q, workers=2).count == count_avoiders(7, q).count
 
+    def test_workers_capped_at_tasks(self, inline_pool):
+        # 2 first letters are 2 tasks: 500 workers would idle in 498 processes
+        assert count_avoiders(2, W("12"), workers=500).count == 1
+        assert inline_pool == [2]
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_invalid_workers(self, workers):
         # refused before any pool is made: no process starts

@@ -28,6 +28,7 @@ def no_search(monkeypatch):
     def fail(*args):
         raise AssertionError("containment check ran before the size guard")
     monkeypatch.setattr(matrices, "_cells_contains", fail)
+    monkeypatch.setattr(matrices, "_occurs_using_cell", fail)
 
 
 class TestBinaryMatrix:
@@ -154,17 +155,26 @@ class TestExtremal:
 
     def test_size_guard(self):
         with pytest.raises(BudgetExceeded):
-            extremal_f(7, IDENTITY2)
+            extremal_f(8, IDENTITY2)
         with pytest.raises(BudgetExceeded):
-            extremal_f(5, perm_to_matrix(W("123")))
-        # explicit override allows a bigger run
-        assert extremal_f(5, perm_to_matrix(W("123")), max_n=5).n == 5
+            extremal_f(6, perm_to_matrix(W("123")))
+        # an explicit override moves the guard either way
+        with pytest.raises(BudgetExceeded):
+            extremal_f(5, perm_to_matrix(W("123")), max_n=4)
+        assert extremal_f(7, BinaryMatrix(((1,),)), max_n=7).value == 0
 
     def test_table_refuses_before_searching(self, no_search):
         with pytest.raises(BudgetExceeded):
-            extremal_table(IDENTITY2, 7)
+            extremal_table(IDENTITY2, 8)
         with pytest.raises(BudgetExceeded):
-            extremal_table(perm_to_matrix(W("123")), 5)
+            extremal_table(perm_to_matrix(W("123")), 6)
+
+    def test_invalid_witness_is_refused(self, monkeypatch):
+        # a new-cell check that never fires fills the grid with 1s; the full
+        # re-check of the witness must catch it
+        monkeypatch.setattr(matrices, "_occurs_using_cell", lambda *a: False)
+        with pytest.raises(ArithmeticError, match="invalid witness"):
+            extremal_f(3, IDENTITY2)
 
     def test_rejects_non_permutation_pattern(self):
         with pytest.raises(ValueError):
@@ -188,4 +198,4 @@ class TestSlopeEstimate:
 
     def test_propagates_refusal(self, no_search):
         with pytest.raises(BudgetExceeded):
-            dq_estimate(IDENTITY2, 9)
+            dq_estimate(IDENTITY2, 8)
