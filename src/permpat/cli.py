@@ -2,7 +2,9 @@
 
 Subcommands wrap the library operations and the verification suites.
 Exit codes are stable: 0 success (or "contains"), 1 negative result
-("avoids", failed checks), 2 input error, 3 budget refusal.
+("avoids", failed checks), 2 input error, 3 refusal: a budget or size
+guard, or an internal check that failed (ArithmeticError) so that no
+answer can be trusted.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from .words import MultisetSpec, Word, find_occurrence
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
-EXIT_BUDGET = 3
+EXIT_REFUSED = 3
 
 
 def _cmd_contains(args) -> int:
@@ -197,7 +199,10 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except BudgetExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return EXIT_REFUSED
+    except ArithmeticError as exc:
+        print(f"refused: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_REFUSED
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

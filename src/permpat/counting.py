@@ -1,8 +1,12 @@
 """Exact counting of pattern-avoiding words and reference formulas.
 
-Counts are produced by depth-first generation with prefix pruning: a
-prefix that already contains the pattern is abandoned, which is sound
-because containment is monotone under appending entries.  Slow
+Counts come from a forward dynamic program over frontier states.  How
+many avoiding completions a prefix has depends only on the letters it
+leaves and on its partial occurrences of the pattern, with their pinned
+values re-coded relative to the values still available.  The counter
+keeps one layer of such states per prefix length, each with the number
+of prefixes that reach it, and appends only letters that complete no
+occurrence (containment is monotone under appending entries).  Slow
 no-pruning counters are kept alongside as independent references.
 """
 from __future__ import annotations
@@ -14,10 +18,11 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from functools import lru_cache
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceeded
-from .words import MultisetSpec, Word, _occurs_using_final, _ranks, contains_bruteforce
+from .words import MultisetSpec, Word, _ranks, contains_bruteforce
 
 # Upper bound on the number of arrangements an exact count may range over.
 DEFAULT_MAX_TOTAL = 10_000_000
@@ -130,34 +135,155 @@ def iter_words(spec: MultisetSpec) -> Iterator[tuple[int, ...]]:
     yield from rec()
 
 
-def _count_completions(mults: list[int], word: list[int],
-                       ranks: Sequence[int], nranks: int,
-                       remaining: int) -> int:
-    """Avoiders extending `word`, choosing next letters in increasing order."""
-    if remaining == 0:
-        return 1
-    total = 0
-    for v in range(1, len(mults) + 1):
-        if not mults[v - 1]:
-            continue
-        mults[v - 1] -= 1
-        word.append(v)
-        if not _occurs_using_final(word, ranks, nranks):
-            total += _count_completions(mults, word, ranks, nranks, remaining - 1)
-        word.pop()
-        mults[v - 1] += 1
-    return total
+# --- frontier-state engine ---------------------------------------------------
+#
+# A prefix matters to its completions only through the letters it leaves and
+# the partial occurrences of the pattern it holds.  An embedding (t, pins) has
+# matched the first t pattern letters; pins[r] codes the value pinned to
+# pattern rank r relative to the values still available, a_0 < ... < a_(m-1):
+# 2j+1 is "equal to a_j" and 2j is "strictly between a_(j-1) and a_j".  Ranks
+# that are unpinned, or pinned but never read again, hold -1.  Two sentinels
+# close every window: pins[-2] = 2m+1 lies above every value and pins[-1] = -1
+# below.  A state is the remaining multiplicities of the available values
+# plus the frozenset of live embeddings (the empty one is implicit); prefixes
+# of one length that reach the same state have the same avoiding completions.
+
+
+class _Step(NamedTuple):
+    """What an embedding that has matched t pattern letters does next."""
+
+    rank: int                # rank of pattern letter t
+    pinned: bool             # rank already pinned: the letter must equal it
+    lo: int                  # else the nearest pinned ranks below and above
+    hi: int                  # it, or the sentinels where there is none
+    forget: tuple[int, ...]  # pins that no test reads after this letter
+    # (pinned rank, letters of that rank still to match)
+    recur: tuple[tuple[int, int], ...]
+    # (lower rank, upper rank, unpinned ranks strictly between)
+    gaps: tuple[tuple[int, int, int], ...]
+
+
+class _Engine:
+    """Layer-by-layer count of the arrangements avoiding one pattern."""
+
+    def __init__(self, pattern: Sequence[int]):
+        ranks, nranks = _ranks(pattern)
+        k = len(ranks)
+        top, bottom = nranks, -1
+
+        def window(t: int, r: int) -> tuple[int, int]:
+            pinned = ranks[:t]
+            return (max((s for s in pinned if s < r), default=bottom),
+                    min((s for s in pinned if s > r), default=top))
+
+        # needed[t]: ranks pinned by the first t letters that a later test reads
+        needed: list[set[int]] = [set() for _ in range(k + 1)]
+        for t in range(k - 1, -1, -1):
+            r = ranks[t]
+            reads = {r} if r in ranks[:t] else set(window(t, r))
+            needed[t] = (needed[t + 1] | reads) & set(ranks[:t])
+        steps = []
+        for t, r in enumerate(ranks):
+            pinned, due = ranks[:t], ranks[t:]
+            ends = [bottom, *sorted(needed[t]), top]
+            steps.append(_Step(
+                r, r in pinned, *window(t, r),
+                forget=tuple(sorted((needed[t] | {r}) - needed[t + 1])),
+                recur=tuple((s, due.count(s))
+                            for s in sorted(set(pinned) & set(due))),
+                gaps=tuple(
+                    (a, b, free) for a, b in zip(ends, ends[1:])
+                    if (free := sum(s not in pinned
+                                    for s in range(a + 1, b))))))
+        self.steps = tuple(steps)
+        self.unpinned = (-1,) * nranks
+
+    def successors(self, avail: tuple[int, ...],
+                   embeddings: frozenset) -> list[tuple[int, tuple]]:
+        """(j, state) for each available value a_j whose appending completes
+        no occurrence, in increasing j."""
+        steps, k = self.steps, len(self.steps)
+        m = len(avail)
+        letters = sum(avail) - 1
+        # the letters each embedding extends on, as a range j in [first, last)
+        banned: set[int] = set()
+        grows = []
+        for t, pins in ((0, self.unpinned + (2 * m + 1, -1)), *embeddings):
+            r, pinned, lo, hi, forget, _, _ = steps[t]
+            if pinned:
+                first = pins[r] >> 1  # the code is odd: dead pins are dropped
+                last = first + 1
+            else:
+                first, last = (pins[lo] + 1) >> 1, pins[hi] >> 1
+            if t + 1 == k:
+                banned.update(range(first, last))
+            elif k - t - 1 <= letters and first < last:
+                grows.append((first, last, pins, r, forget, t + 1))
+        kept = [(t, pins) for t, pins in embeddings if k - t <= letters]
+        out = []
+        for j in range(m):
+            if j in banned:
+                continue
+            x = 2 * j + 1
+            grown = set(kept)
+            for first, last, pins, r, forget, grown_t in grows:
+                if first <= j < last:
+                    new = list(pins)
+                    new[r] = x
+                    for s in forget:
+                        new[s] = -1
+                    grown.add((grown_t, tuple(new)))
+            left = avail[j] - 1
+            if left:
+                after = avail[:j] + (left,) + avail[j + 1:]
+            else:
+                # a_j is used up: its code and the gaps beside it become gap
+                # 2j, and the codes above it move down by 2
+                after = avail[:j] + avail[j + 1:]
+                recode = [*range(x), x - 1, x - 1, *range(x, 2 * m), -1]
+                grown = {(t, tuple(map(recode.__getitem__, pins)))
+                         for t, pins in grown}
+            live = []
+            for t, pins in grown:
+                _, _, _, _, _, recur, gaps = steps[t]
+                # a pinned rank that recurs needs enough copies of its value
+                if any(not pins[s] & 1 or after[pins[s] >> 1] < due
+                       for s, due in recur):
+                    continue
+                # unpinned ranks need distinct available values in their window
+                if any(pins[b] // 2 - (pins[a] + 1) // 2 < free
+                       for a, b, free in gaps):
+                    continue
+                live.append((t, pins))
+            out.append((j, (after, frozenset(live))))
+        return out
+
+    def count(self, avail: tuple[int, ...],
+              embeddings: frozenset = frozenset()) -> int:
+        """Avoiding completions of one state; each layer maps a state to
+        the number of prefixes that reach it."""
+        successors = self.successors
+        layer = {(avail, embeddings): 1}
+        for _ in range(sum(avail)):
+            nxt: dict = {}
+            for state, ways in layer.items():
+                for _, after in successors(*state):
+                    nxt[after] = nxt.get(after, 0) + ways
+            layer = nxt
+        return sum(layer.values())
+
+
+@lru_cache(maxsize=128)
+def _engine(pattern: tuple[int, ...]) -> _Engine:
+    """One engine per pattern, reused across the counts of a table."""
+    return _Engine(pattern)
 
 
 def _count_task(mults: tuple[int, ...], pattern: tuple[int, ...], first: int) -> int:
     """Worker entry: count avoiders whose first letter is `first`."""
-    ranks, nranks = _ranks(pattern)
-    working = list(mults)
-    working[first - 1] -= 1
-    word = [first]
-    if _occurs_using_final(word, ranks, nranks):
-        return 0
-    return _count_completions(working, word, ranks, nranks, sum(working))
+    engine = _engine(pattern)
+    after = dict(engine.successors(mults, frozenset())).get(first - 1)
+    return 0 if after is None else engine.count(*after)
 
 
 def count_multiset_avoiders(spec: MultisetSpec, pattern: Word, *,
@@ -185,9 +311,7 @@ def count_multiset_avoiders(spec: MultisetSpec, pattern: Word, *,
                              [entries] * len(firsts), firsts)
         count = sum(parts)
     else:
-        ranks, nranks = _ranks(entries)
-        count = _count_completions(list(spec.multiplicities), [],
-                                   ranks, nranks, spec.length)
+        count = _engine(entries).count(spec.multiplicities)
     return CountRecord(spec=spec, pattern=pattern, count=count, total=total)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
@@ -221,6 +222,17 @@ def _suite_catalan(rng: random.Random) -> list[Check]:
                         "4 patterns, n = 1..6" +
                         (f", wrong: {sym_bad}" if sym_bad else "")))
 
+    # beyond brute-force reach: Gessel's and Bona's closed forms
+    want = {("1234", 9): _gessel_1234(9), ("1234", 10): _gessel_1234(10),
+            ("1342", 9): _bona_1342(9)}
+    got = {(pat, n): count_avoiders(n, Word.parse(pat)).count
+           for pat, n in want}
+    checks.append(Check("gessel-bona", got == want,
+                        ", ".join(f"S{n}({pat}) = {got[pat, n]}"
+                                  for pat, n in want) +
+                        " against Gessel (1234) and Bona (1342)" +
+                        ("" if got == want else f", expected {want}")))
+
     ones = all(r.count == 1 for r in sequence(Word.parse("12"), 6))
     singles = all(count_avoiders(1, Word.parse(p)).count == 1
                   for p in ("12", "321", "1342"))
@@ -228,6 +240,39 @@ def _suite_catalan(rng: random.Random) -> list[Check]:
                         "pattern 12 leaves one avoider; n = 1 always one"))
 
     return checks
+
+
+def _exact(value: Fraction) -> int:
+    if value.denominator != 1:
+        raise ArithmeticError(f"closed form gave a non-integer: {value}")
+    return int(value)
+
+
+def _gessel_1234(n: int) -> int:
+    """Permutations of [n] avoiding 1234, by Gessel's formula:
+    2 * sum_k C(2k,k) C(n,k)^2 (3k^2+2k+1-n-2nk) / ((k+1)^2 (k+2) (n-k+1))."""
+    return _exact(2 * sum(
+        Fraction(math.comb(2 * k, k) * math.comb(n, k) ** 2
+                 * (3 * k * k + 2 * k + 1 - n - 2 * n * k),
+                 (k + 1) ** 2 * (k + 2) * (n - k + 1))
+        for k in range(n + 1)))
+
+
+def _bona_1342(n: int) -> int:
+    """Permutations of [n] avoiding 1342: the coefficient of x^n in Bona's
+    32x / (1 + 20x - 8x^2 - (1-8x)^(3/2))."""
+    # (1-8x)^(3/2) = sum_i c_i x^i, by the binomial series
+    c = [Fraction(1)]
+    for i in range(1, n + 2):
+        c.append(c[-1] * (Fraction(3, 2) - (i - 1)) * -8 / i)
+    # the denominator is x * d(x), so the series is 32 / d(x)
+    d = [20 - c[1], -8 - c[2], *(-v for v in c[3:])]
+    inverse: list[Fraction] = []
+    for i in range(n + 1):
+        acc = Fraction(32 if i == 0 else 0) - sum(
+            d[j] * inverse[i - j] for j in range(1, i + 1))
+        inverse.append(acc / d[0])
+    return _exact(inverse[n])
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +328,28 @@ def _suite_stirling(rng: random.Random) -> list[Check]:
                 multi_bad.append(comp)
     checks.append(Check("multinomial-exhaustive", not multi_bad,
                         "all multisets of size <= 8 against full generation"))
+
+    # repeated letters and uneven multisets, where dead embeddings arise:
+    # each word's patterns are read off all its subsequences once
+    patterns = [q for k in range(1, 5) for q in _all_words_of_length(k)]
+    eng_bad, eng_cases = [], 0
+    for length in range(1, 7):
+        for comp in _compositions(length):
+            spec = MultisetSpec(comp)
+            held: Counter = Counter()
+            for w in iter_words(spec):
+                for k in range(1, min(4, length) + 1):
+                    held.update(contained_patterns(Word(w), k))
+            total = total_words(spec)
+            for q in patterns:
+                eng_cases += 1
+                if count_multiset_avoiders(spec, q).count != total - held[q]:
+                    eng_bad.append((comp, str(q)))
+    checks.append(Check("engine-exhaustive", not eng_bad,
+                        f"{eng_cases} cases: every multiset of size <= 6 "
+                        f"against all {len(patterns)} patterns of length "
+                        "<= 4, vs all-subsequences containment" +
+                        (f", wrong: {eng_bad[:5]}" if eng_bad else "")))
 
     single = count_multiset_avoiders(MultisetSpec((4,)), Word.parse("12")).count
     unit_ok = all(

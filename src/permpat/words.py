@@ -213,47 +213,6 @@ def _embed(word: Sequence[int], pattern: Sequence[int]) -> tuple[int, ...] | Non
     return tuple(chosen) if search(0, 0) else None
 
 
-def _occurs_using_final(word: Sequence[int], ranks: Sequence[int],
-                        nranks: int) -> bool:
-    """Does an occurrence of the ranked pattern end exactly at word[-1]?
-
-    Used for prefix pruning while counting: a freshly extended prefix can
-    only have gained occurrences that use the new final entry.
-    """
-    k, n = len(ranks), len(word)
-    if k > n:
-        return False
-    pinned: list[int | None] = [None] * nranks
-    pinned[ranks[-1]] = word[-1]
-
-    def search(t: int, start: int) -> bool:
-        if t == k - 1:
-            return True
-        r = ranks[t]
-        fixed = pinned[r]
-        for i in range(start, n - k + t + 1):
-            v = word[i]
-            if fixed is not None:
-                if v != fixed:
-                    continue
-                if search(t + 1, i + 1):
-                    return True
-            else:
-                lo = next((pinned[s] for s in range(r - 1, -1, -1)
-                           if pinned[s] is not None), 0)
-                hi = next((pinned[s] for s in range(r + 1, nranks)
-                           if pinned[s] is not None), None)
-                if v <= lo or (hi is not None and v >= hi):
-                    continue
-                pinned[r] = v
-                if search(t + 1, i + 1):
-                    return True
-                pinned[r] = None
-        return False
-
-    return search(0, 0)
-
-
 def contains(word: Word, pattern: Word) -> bool:
     """Does some subsequence of word match pattern order-isomorphically?
 
@@ -288,5 +247,5 @@ def contained_patterns(word: Word, k: int) -> set[Word]:
     """All canonical patterns of length k contained in word."""
     if not 1 <= k <= word.length:
         raise ValueError(f"k must be in 1..{word.length}, got {k}")
-    return {Word(canonical_form(sub))
-            for sub in combinations(word.entries, k)}
+    return {Word(form) for form in
+            {canonical_form(sub) for sub in set(combinations(word.entries, k))}}

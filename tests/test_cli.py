@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from permpat import matrices
 from permpat.cli import main
 
 
@@ -119,6 +120,20 @@ class TestExtremalCommand:
         code, _, err = run(capsys, "extremal", "--matrix-file", str(path),
                            "--n-max", "8")
         assert code == 3
+
+    def test_failed_certificate_is_a_refusal(self, capsys, tmp_path,
+                                             monkeypatch):
+        # a kernel that misses every occurrence yields an invalid witness;
+        # its ArithmeticError must exit 3, not 1 (the "avoids" code)
+        monkeypatch.setattr(matrices, "_occurs_using_cell",
+                            lambda grid, r, c, plan: False)
+        path = tmp_path / "id2.txt"
+        path.write_text("10\n01\n")
+        code, out, err = run(capsys, "extremal", "--matrix-file", str(path),
+                             "--n-max", "2")
+        assert code == 3 and out == ""
+        assert err.startswith("refused: internal check failed: ")
+        assert "Traceback" not in err
 
     def test_bad_matrix(self, capsys, tmp_path):
         path = tmp_path / "bad.txt"

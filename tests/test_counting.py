@@ -107,6 +107,16 @@ class TestCountMultisetAvoiders:
         with pytest.raises(BudgetExceeded):
             count_multiset_avoiders(MultisetSpec.unit(12), W("12"))
 
+    def test_pool_tasks_match_bruteforce(self, inline_pool):
+        # each task counts from the state after its first letter; repeated
+        # letters and uneven multisets exercise the dead-embedding pruning
+        for comp in ((2, 1, 2), (1, 3, 1), (2, 2, 2), (3, 1, 1, 1)):
+            spec = MultisetSpec(comp)
+            for pat in ("1212", "2113", "132", "11", "1"):
+                assert (count_multiset_avoiders(spec, W(pat), workers=2).count
+                        == count_multiset_avoiders_bruteforce(spec, W(pat)))
+        assert set(inline_pool) == {2}
+
     def test_worker_partition_matches_serial(self):
         spec = MultisetSpec.regular(3, 2)
         q = W("212")
