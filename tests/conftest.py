@@ -18,8 +18,9 @@ def verify_all():
 @pytest.fixture
 def inline_pool(monkeypatch):
     """Replace the process pool of the counting and census drivers with an
-    inline map that starts no process; returns the list of the max_workers
-    values each pool was asked for."""
+    inline map that starts no process, and let counts of any size take the
+    pool route; returns the list of the max_workers values each pool was
+    asked for."""
     sizes = []
 
     class InlinePool:
@@ -36,5 +37,6 @@ def inline_pool(monkeypatch):
             return list(map(fn, *iterables))
 
     monkeypatch.setattr(counting, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(counting, "POOL_MIN_TOTAL", 0)
     monkeypatch.setattr(bigraphs, "ProcessPoolExecutor", InlinePool)
     return sizes

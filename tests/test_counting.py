@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from permpat import counting
 from permpat.counting import (CountRecord, catalan, count_avoiders,
                               count_avoiders_bruteforce,
                               count_multiset_avoiders,
@@ -53,9 +54,20 @@ class TestCountAvoiders:
         with pytest.raises(ValueError):
             count_avoiders(3, W("212"))
 
-    def test_worker_partition_matches_serial(self):
+    def test_worker_partition_matches_serial(self, monkeypatch):
+        monkeypatch.setattr(counting, "POOL_MIN_TOTAL", 0)
         q = W("132")
         assert count_avoiders(7, q, workers=2).count == count_avoiders(7, q).count
+
+    def test_small_count_starts_no_pool(self, monkeypatch):
+        def no_pool(max_workers):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(counting, "ProcessPoolExecutor", no_pool)
+        n = 7
+        assert total_words(MultisetSpec.unit(n)) < counting.POOL_MIN_TOTAL
+        assert (count_avoiders(n, W("1342"), workers=2).count
+                == count_avoiders_bruteforce(n, W("1342")))
 
     def test_workers_capped_at_tasks(self, inline_pool):
         # 2 first letters are 2 tasks: 500 workers would idle in 498 processes
@@ -117,7 +129,8 @@ class TestCountMultisetAvoiders:
                         == count_multiset_avoiders_bruteforce(spec, W(pat)))
         assert set(inline_pool) == {2}
 
-    def test_worker_partition_matches_serial(self):
+    def test_worker_partition_matches_serial(self, monkeypatch):
+        monkeypatch.setattr(counting, "POOL_MIN_TOTAL", 0)
         spec = MultisetSpec.regular(3, 2)
         q = W("212")
         assert (count_multiset_avoiders(spec, q, workers=2).count
