@@ -10,7 +10,6 @@ is the image of exactly 2^m - 1 edge sets.
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -263,6 +262,10 @@ def census_avoiding_graphs(n: int, m: int, pattern: Word, *, workers: int = 1,
             f"census over 2^{cells} graphs exceeds the guard of 2^{max_cells}")
     a, b = n * m, n
     if workers > 1:
+        # imported only when a pool starts: the pool machinery is about half
+        # of the package's import time
+        from concurrent.futures import ProcessPoolExecutor
+
         chunks = min(4 * workers, 1 << cells)
         step = (1 << cells) // chunks
         bounds_list = [(k * step, (k + 1) * step if k < chunks - 1 else 1 << cells)

@@ -64,7 +64,11 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_extremal(args) -> int:
-    pattern = BinaryMatrix.parse(Path(args.matrix_file).read_text())
+    try:
+        text = Path(args.matrix_file).read_text()
+    except OSError as exc:
+        raise ParseError(f"cannot read --matrix-file: {exc}") from None
+    pattern = BinaryMatrix.parse(text)
     records = extremal_table(pattern, args.n_max)
     if args.format == "json":
         print(json.dumps([rec.as_dict() for rec in records], indent=2))

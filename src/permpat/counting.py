@@ -15,7 +15,6 @@ import csv
 import io
 import json
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -309,6 +308,10 @@ def count_multiset_avoiders(spec: MultisetSpec, pattern: Word, *,
             f"{total} arrangements exceed the counting budget of {max_total}")
     entries = pattern.entries
     if workers > 1 and total >= POOL_MIN_TOTAL:
+        # imported only when a pool starts: the pool machinery is about half
+        # of the package's import time
+        from concurrent.futures import ProcessPoolExecutor
+
         firsts = [v for v in range(1, spec.n + 1) if spec.multiplicities[v - 1]]
         # the pool starts every worker up front, so start no idle ones
         with ProcessPoolExecutor(max_workers=min(workers, len(firsts))) as pool:

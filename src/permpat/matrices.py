@@ -2,16 +2,17 @@
 
 A matrix P contains a pattern matrix Q when deleting rows and columns of
 P can produce a matrix with a 1 wherever Q has a 1 (extra 1s in P are
-fine).  extremal_f computes, by exhaustive branch-and-bound, the largest
-number of 1s an n x n matrix can carry while avoiding a permutation
-matrix pattern.
+fine).  extremal_f computes the largest number of 1s an n x n matrix can
+carry while avoiding a permutation matrix pattern, exactly, with a
+row-transfer search: rows are decided top to bottom over states made of
+the pattern's dominance-pruned partial embeddings.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Sequence
+from itertools import combinations, product
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ParseError
 from .words import Word
@@ -136,57 +137,233 @@ def _cells_contains(pcells: Sequence[Sequence[int]],
     return False
 
 
-def _cell_plan(qcells: Sequence[Sequence[int]]) -> tuple:
-    """What _occurs_using_cell needs of a permutation pattern: its side k,
-    the column s of its last row's 1, and, for the pattern columns left and
-    right of s in order, the pattern row holding each column's 1."""
-    row_of = {row.index(1): r for r, row in enumerate(qcells)}
-    k, s = len(qcells), qcells[-1].index(1)
-    return (k, s, tuple(row_of[j] for j in range(s)),
-            tuple(row_of[j] for j in range(s + 1, k)))
-
-
-def _occurs_using_cell(grid: Sequence[Sequence[int]], r: int, c: int,
-                       plan: tuple) -> bool:
-    """Is there an occurrence of the planned permutation pattern in `grid`
-    that puts one of its 1s on cell (r, c)?
-
-    Requires every cell after (r, c) in row-major order to be 0.  Then row
-    r is the lowest nonzero row, so the occurrence maps the pattern's last
-    row to row r and that row's 1 to column c; its other k-1 rows are
-    chosen among rows 0..r-1.  For a fixed choice the columns left of c
-    and right of c are matched greedily, as in _cells_contains.
-    """
-    k, s, left, right = plan
-    n = len(grid[r])
-    if r < k - 1 or c < s or n - 1 - c < len(right):
-        return False
-    for rows in combinations(grid[:r], k - 1):
-        j = 0
-        for i in left:
-            row = rows[i]
-            while j < c and not row[j]:
-                j += 1
-            if j == c:
-                break
-            j += 1
-        else:
-            j = c + 1
-            for i in right:
-                row = rows[i]
-                while j < n and not row[j]:
-                    j += 1
-                if j == n:
-                    break
-                j += 1
-            else:
-                return True
-    return False
-
-
 def matrix_contains(P: BinaryMatrix, Q: BinaryMatrix) -> bool:
     """Does P contain Q as a submatrix pattern (1s of Q dominated)?"""
     return _cells_contains(P.cells, Q.cells)
+
+
+# --- row-transfer engine -----------------------------------------------------
+#
+# Rows of the n x n grid are decided top to bottom, each as a bitmask with bit
+# c for column c.  Row t of the k x k permutation pattern has its 1 in column
+# sigma(t).  An embedding (t, pins) maps the pattern's first t rows to earlier
+# grid rows; pattern row i then needs a grid column strictly between the pins
+# of its nearest pinned neighbours in sigma order, so an embedding keeps, in
+# pattern-row order, only the pins that a later pattern row reads.  A pin read
+# only as a lower end is better smaller, one read only as an upper end better
+# larger, and one read both ways must match exactly: at equal t an embedding at
+# least as good on every pin can follow every row the other can, so a state
+# keeps only the antichain of undominated embeddings (the empty embedding is
+# implicit).  It also drops the embeddings that the rows left cannot
+# complete, and those whose every growth is dominated one level up.  A grid
+# row advances an embedding by at most one pattern row, since pattern rows map
+# to distinct grid rows.
+
+_LO, _HI, _BOTH = 1, 2, 3
+
+
+class _Step(NamedTuple):
+    """What an embedding that has placed t pattern rows does next."""
+
+    lo: int | None          # index into pins of the lower end of row t's
+    hi: int | None          # window and of its upper end (None: grid edge)
+    keep: tuple[int, ...]   # indices into pins + (column of row t,) kept
+    role: int               # how later rows read row t's pin (0: never)
+
+
+class _RowEngine:
+    """Value-to-go over (grid row, state) for one pattern and grid side."""
+
+    def __init__(self, n: int, qcells: Sequence[Sequence[int]]):
+        sigma = [row.index(1) for row in qcells]
+        k = len(sigma)
+        lo_of = [max((j for j in range(t) if sigma[j] < sigma[t]),
+                     key=sigma.__getitem__, default=None) for t in range(k)]
+        hi_of = [min((j for j in range(t) if sigma[j] > sigma[t]),
+                     key=sigma.__getitem__, default=None) for t in range(k)]
+        # roles[t]: pattern row j < t -> how rows t..k-1 read its pin
+        roles: list[dict[int, int]] = []
+        for t in range(k + 1):
+            role: dict[int, int] = {}
+            for i in range(t, k):
+                for j, bit in ((lo_of[i], _LO), (hi_of[i], _HI)):
+                    if j is not None and j < t:
+                        role[j] = role.get(j, 0) | bit
+            roles.append(role)
+        live = [sorted(role) for role in roles]
+        self.steps = tuple(
+            _Step(None if lo_of[t] is None else live[t].index(lo_of[t]),
+                  None if hi_of[t] is None else live[t].index(hi_of[t]),
+                  tuple(live[t].index(j) if j < t else len(live[t])
+                        for j in live[t + 1]),
+                  roles[t + 1].get(t, 0))
+            for t in range(k))
+        self.roles = tuple(tuple(roles[t][j] for j in live[t])
+                           for t in range(k + 1))
+        self.n, self.k = n, k
+        self.memo: dict[tuple[int, tuple], int] = {}
+        self.growth_memo: dict[tuple[int, tuple], list] = {}
+
+    def window(self, t: int, pins: tuple[int, ...]) -> int:
+        """Columns where pattern row t may go next, as a bitmask."""
+        step = self.steps[t]
+        lo = -1 if step.lo is None else pins[step.lo]
+        hi = self.n if step.hi is None else pins[step.hi]
+        return (1 << hi) - (1 << (lo + 1))
+
+    def blocked(self, state: tuple) -> int:
+        """Columns where a 1 in the next row completes an occurrence: the
+        windows of the embeddings one pattern row short."""
+        mask = 0
+        for t, pins in ((0, ()), *state):
+            if t == self.k - 1:
+                mask |= self.window(t, pins)
+        return mask
+
+    def successor(self, state: tuple,
+                  rows_after: int) -> Callable[[int], tuple]:
+        """The map from a row that `blocked` allows to the state after it,
+        keeping only the embeddings that `rows_after` more rows can
+        complete."""
+        k, steps, roles = self.k, self.steps, self.roles
+        carried: dict[int, set] = {}
+        for t, pins in state:
+            if t + rows_after >= k:
+                carried.setdefault(t, set()).add(pins)
+        # per embedding that may grow: its window, the level it grows into,
+        # how its new pin is read, and the pins it grows into per column
+        growing = []
+        for t, pins in ((0, ()), *state):
+            if k - rows_after <= t + 1 < k:
+                step = steps[t]
+                grows = [tuple([(*pins, x)[i] for i in step.keep])
+                         for x in range(self.n)]
+                growing.append((self.window(t, pins), t + 1, step.role, grows))
+
+        def after(row: int) -> tuple:
+            grown = {t: set(level) for t, level in carried.items()}
+            for window, t, role, grows in growing:
+                hits = row & window
+                if not hits:
+                    continue
+                grown.setdefault(t, set()).update(
+                    [grows[x] for x in _best_columns(hits, role)])
+            return self.prune(grown)
+
+        return after
+
+    def prune(self, grown: dict[int, set]) -> tuple:
+        """The state made of the embeddings in `grown` (level -> pins) that
+        can still matter: each level's antichain, less the embeddings with
+        an empty window and those whose every growth is dominated by an
+        embedding one level up (which lives at least as long)."""
+        levels = []
+        upper: list = []
+        for t in range(self.k - 1, 0, -1):
+            roles = self.roles[t + 1]
+            kept = [pins for pins in _antichain(grown.get(t, ()), self.roles[t])
+                    if any(not any(_dominates(other, grow, roles)
+                                   for other in upper)
+                           for grow in self.growths(t, pins))]
+            levels.append([(t, pins) for pins in kept])
+            upper = kept
+        return tuple(emb for level in reversed(levels) for emb in level)
+
+    def growths(self, t: int, pins: tuple) -> list:
+        """The undominated pins an embedding can grow into with its next
+        pattern row; at the last level, [()] when its window is nonempty."""
+        key = (t, pins)
+        cached = self.growth_memo.get(key)
+        if cached is None:
+            step = self.steps[t]
+            window = self.window(t, pins)
+            cached = self.growth_memo[key] = [
+                tuple([(*pins, x)[i] for i in step.keep])
+                for x in (_best_columns(window, step.role) if window else ())]
+        return cached
+
+    def value(self, r: int, state: tuple) -> int:
+        """Most 1s that rows r..n-1 can add without an occurrence."""
+        key = (r, state)
+        memo = self.memo
+        if key in memo:
+            return memo[key]
+        n = self.n
+        if r == n:
+            return 0
+        # no state does better than the empty one
+        bound = self.value(r + 1, ())
+        blocked = self.blocked(state)
+        cols = [1 << c for c in range(n) if not blocked >> c & 1]
+        after = self.successor(state, n - 1 - r)
+        best = -1
+        for weight in range(len(cols), -1, -1):
+            if weight + bound <= best:
+                break
+            for picked in combinations(cols, weight):
+                best = max(best, weight + self.value(r + 1, after(sum(picked))))
+        memo[key] = best
+        return best
+
+    def witness(self) -> tuple[tuple[int, ...], ...]:
+        """An optimal grid: row by row, the lexicographically largest row
+        (column 0 first, 1 before 0) that still reaches the optimum."""
+        n = self.n
+        rows, state = [], ()
+        for r in range(n):
+            target = self.value(r, state)
+            bound = self.value(r + 1, ())
+            blocked = self.blocked(state)
+            cols = [c for c in range(n) if not blocked >> c & 1]
+            after = self.successor(state, n - 1 - r)
+            # product() runs through the free columns' bits lexicographically
+            for bits in product((1, 0), repeat=len(cols)):
+                weight = sum(bits)
+                if weight + bound < target:
+                    continue
+                row = sum(bit << c for bit, c in zip(bits, cols))
+                nxt = after(row)
+                if weight + self.value(r + 1, nxt) == target:
+                    rows.append(tuple(row >> c & 1 for c in range(n)))
+                    state = nxt
+                    break
+        return tuple(rows)
+
+
+def _best_columns(mask: int, role: int) -> list[int]:
+    """The columns of a nonempty mask that a new pin read as `role` may
+    take without being dominated: all of them for a pin read both ways,
+    else the highest for an upper end and the lowest otherwise (a pin
+    never read is kept nowhere, so any column will do)."""
+    if role == _BOTH:
+        return [c for c in range(mask.bit_length()) if mask >> c & 1]
+    if role == _HI:
+        return [mask.bit_length() - 1]
+    return [(mask & -mask).bit_length() - 1]
+
+
+def _dominates(a: tuple, b: tuple, roles: tuple[int, ...]) -> bool:
+    """Can pins `a` follow every row that pins `b` (same level) can?"""
+    return all(x <= y if role == _LO else x >= y if role == _HI else x == y
+               for x, y, role in zip(a, b, roles))
+
+
+def _antichain(level, roles: tuple[int, ...]) -> list:
+    """The pins of one level that no other pins of it dominate, sorted."""
+    if len(level) <= 1 or roles == (_BOTH,):
+        return sorted(level)
+    if roles == (_LO,):
+        return [min(level)]
+    if roles == (_HI,):
+        return [max(level)]
+    # a dominating embedding sorts strictly before the ones it dominates
+    signed = sorted(level, key=lambda pins: sum(
+        -x if role == _HI else x for x, role in zip(pins, roles)))
+    kept: list = []
+    for pins in signed:
+        if not any(_dominates(other, pins, roles) for other in kept):
+            kept.append(pins)
+    return sorted(kept)
 
 
 @dataclass(frozen=True)
@@ -209,11 +386,13 @@ class ExtremalRecord:
         }
 
 
-# Exhaustive search guards, keyed by pattern side length.  The first
-# refused sizes take about 110 s (2x2, n = 8) and 31 s (3x3, n = 6) for the
-# slowest pattern, against 8 s and 0.2 s at the largest admitted ones.
-_SIDE_LIMIT = {1: 6, 2: 7, 3: 5}
-_FALLBACK_LIMIT = 3
+# Size guards, keyed by pattern side length, set from the slowest pattern of
+# each side (2-vCPU VM, Python 3.11).  The largest admitted sizes take about
+# 8 s (2x2, n = 15), 6.5 s (3x3, n = 8, pattern 213), 1.2 s (4x4, n = 6) and
+# 0.7 s (5x5, n = 6); the first refused ones about 17 s, 34 s, 37 s and
+# 100 s.  A 1x1 pattern needs no search and takes the fallback cap.
+_SIDE_LIMIT = {2: 15, 3: 8}
+_FALLBACK_LIMIT = 6
 
 
 def _check_request(n: int, pattern: BinaryMatrix, max_n: int | None) -> None:
@@ -231,50 +410,28 @@ def extremal_f(n: int, pattern: BinaryMatrix, *,
                max_n: int | None = None) -> ExtremalRecord:
     """Largest number of 1s an n x n matrix avoiding `pattern` can have.
 
-    Branch-and-bound over cells in row-major order, trying a 1 before a 0.
-    A branch dies when its partial grid already contains the pattern, or
-    when current count + undecided cells cannot beat the best found.  The
-    partial grid avoids the pattern before each new 1, so only occurrences
-    through that 1 are tested (_occurs_using_cell).  The witness returned
-    is the first optimum in this order, i.e. the lexicographically largest
-    optimal bit string; it is re-checked with the full _cells_contains
-    before it is returned.
+    The row-transfer engine decides rows top to bottom: the value is the
+    memoized value-to-go over (row, state), where a state is the antichain
+    of live partial embeddings, and a row may hold a 1 only where no
+    embedding completes through it.  The witness returned is the
+    lexicographically largest optimal bit string in row-major order (each
+    row, column 0 first, is the largest that still reaches the optimum); it
+    is re-checked with the full _cells_contains before it is returned.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     _check_request(n, pattern, max_n)
 
-    qcells = pattern.cells
-    plan = _cell_plan(qcells)
-    grid = [[0] * n for _ in range(n)]
-    total_cells = n * n
-    best_value = -1
-    best_grid: tuple[tuple[int, ...], ...] | None = None
-
-    def search(idx: int, count: int) -> None:
-        nonlocal best_value, best_grid
-        if count + (total_cells - idx) <= best_value:
-            return
-        if idx == total_cells:
-            # strictly better than best_value, else the bound cut above fired
-            best_value = count
-            best_grid = tuple(tuple(row) for row in grid)
-            return
-        r, c = divmod(idx, n)
-        grid[r][c] = 1
-        if not _occurs_using_cell(grid, r, c, plan):
-            search(idx + 1, count + 1)
-        grid[r][c] = 0
-        search(idx + 1, count)
-
-    search(0, 0)
-    if (best_grid is None or sum(map(sum, best_grid)) != best_value
-            or _cells_contains(best_grid, qcells)):
+    engine = _RowEngine(n, pattern.cells)
+    value = engine.value(0, ())
+    grid = engine.witness()
+    if (len(grid) != n or sum(map(sum, grid)) != value
+            or _cells_contains(grid, pattern.cells)):
         raise ArithmeticError(
             f"extremal search produced an invalid witness for n = {n}")
-    return ExtremalRecord(n=n, pattern=pattern, value=best_value,
-                          witness=BinaryMatrix(best_grid),
-                          slope=Fraction(best_value, n))
+    return ExtremalRecord(n=n, pattern=pattern, value=value,
+                          witness=BinaryMatrix(grid),
+                          slope=Fraction(value, n))
 
 
 def extremal_table(pattern: BinaryMatrix, n_max: int, *,

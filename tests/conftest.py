@@ -1,8 +1,9 @@
+import concurrent.futures
 import time
 
 import pytest
 
-from permpat import bigraphs, counting
+from permpat import counting
 from permpat.verify import run_suite
 
 
@@ -36,7 +37,7 @@ def inline_pool(monkeypatch):
         def map(self, fn, *iterables):
             return list(map(fn, *iterables))
 
-    monkeypatch.setattr(counting, "ProcessPoolExecutor", InlinePool)
+    # the drivers import the pool class from here when a pool starts
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(counting, "POOL_MIN_TOTAL", 0)
-    monkeypatch.setattr(bigraphs, "ProcessPoolExecutor", InlinePool)
     return sizes

@@ -1,9 +1,13 @@
 import csv
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import permpat
 from permpat import matrices
 from permpat.cli import main
 
@@ -12,6 +16,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def test_import_loads_no_pool_machinery():
+    # the drivers import the process pool only when a pool starts
+    src = str(Path(permpat.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import permpat.cli; "
+            "print('concurrent.futures' in sys.modules)")
+    done = subprocess.run([sys.executable, "-I", "-c", code, src],
+                          capture_output=True, text=True, timeout=60,
+                          check=True)
+    assert done.stdout.strip() == "False"
 
 
 class TestContainsCommand:
@@ -118,15 +133,15 @@ class TestExtremalCommand:
         path = tmp_path / "id2.txt"
         path.write_text("10\n01\n")
         code, _, err = run(capsys, "extremal", "--matrix-file", str(path),
-                           "--n-max", "8")
+                           "--n-max", "16")
         assert code == 3
 
     def test_failed_certificate_is_a_refusal(self, capsys, tmp_path,
                                              monkeypatch):
-        # a kernel that misses every occurrence yields an invalid witness;
-        # its ArithmeticError must exit 3, not 1 (the "avoids" code)
-        monkeypatch.setattr(matrices, "_occurs_using_cell",
-                            lambda grid, r, c, plan: False)
+        # an occurrence test that misses every occurrence yields an invalid
+        # witness; its ArithmeticError must exit 3, not 1 (the "avoids" code)
+        monkeypatch.setattr(matrices._RowEngine, "blocked",
+                            lambda self, state: 0)
         path = tmp_path / "id2.txt"
         path.write_text("10\n01\n")
         code, out, err = run(capsys, "extremal", "--matrix-file", str(path),
@@ -141,6 +156,14 @@ class TestExtremalCommand:
         code, _, err = run(capsys, "extremal", "--matrix-file", str(path),
                            "--n-max", "2")
         assert code == 2
+
+    def test_unreadable_matrix_file(self, capsys, tmp_path):
+        # an input error (exit 2), not a traceback with exit 1 ("avoids")
+        for path in (tmp_path / "missing.txt", tmp_path):
+            code, out, err = run(capsys, "extremal", "--matrix-file",
+                                 str(path), "--n-max", "2")
+            assert code == 2 and out == ""
+            assert err.startswith("input error: cannot read --matrix-file")
 
 
 class TestVerifyCommand:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import io
 import json
@@ -63,7 +64,7 @@ class TestCountAvoiders:
         def no_pool(max_workers):
             raise AssertionError("a pool was started")
 
-        monkeypatch.setattr(counting, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         n = 7
         assert total_words(MultisetSpec.unit(n)) < counting.POOL_MIN_TOTAL
         assert (count_avoiders(n, W("1342"), workers=2).count

@@ -28,7 +28,7 @@ def no_search(monkeypatch):
     def fail(*args):
         raise AssertionError("containment check ran before the size guard")
     monkeypatch.setattr(matrices, "_cells_contains", fail)
-    monkeypatch.setattr(matrices, "_occurs_using_cell", fail)
+    monkeypatch.setattr(matrices._RowEngine, "blocked", fail)
 
 
 class TestBinaryMatrix:
@@ -155,9 +155,9 @@ class TestExtremal:
 
     def test_size_guard(self):
         with pytest.raises(BudgetExceeded):
-            extremal_f(8, IDENTITY2)
+            extremal_f(16, IDENTITY2)
         with pytest.raises(BudgetExceeded):
-            extremal_f(6, perm_to_matrix(W("123")))
+            extremal_f(9, perm_to_matrix(W("123")))
         # an explicit override moves the guard either way
         with pytest.raises(BudgetExceeded):
             extremal_f(5, perm_to_matrix(W("123")), max_n=4)
@@ -165,14 +165,15 @@ class TestExtremal:
 
     def test_table_refuses_before_searching(self, no_search):
         with pytest.raises(BudgetExceeded):
-            extremal_table(IDENTITY2, 8)
+            extremal_table(IDENTITY2, 16)
         with pytest.raises(BudgetExceeded):
-            extremal_table(perm_to_matrix(W("123")), 6)
+            extremal_table(perm_to_matrix(W("123")), 9)
 
     def test_invalid_witness_is_refused(self, monkeypatch):
-        # a new-cell check that never fires fills the grid with 1s; the full
-        # re-check of the witness must catch it
-        monkeypatch.setattr(matrices, "_occurs_using_cell", lambda *a: False)
+        # an occurrence test that never fires fills the grid with 1s; the
+        # full re-check of the witness must catch it
+        monkeypatch.setattr(matrices._RowEngine, "blocked",
+                            lambda self, state: 0)
         with pytest.raises(ArithmeticError, match="invalid witness"):
             extremal_f(3, IDENTITY2)
 
@@ -198,4 +199,4 @@ class TestSlopeEstimate:
 
     def test_propagates_refusal(self, no_search):
         with pytest.raises(BudgetExceeded):
-            dq_estimate(IDENTITY2, 8)
+            dq_estimate(IDENTITY2, 16)

@@ -1,5 +1,6 @@
 import pytest
 
+from permpat import matrices
 from permpat.verify import SUITES, run_suite
 
 
@@ -13,6 +14,17 @@ class TestRunSuite:
         assert manifest.ok
         assert all(c.name.startswith("proof-chain:") for c in manifest.checks)
         assert manifest.seed == 3
+
+    def test_failed_certificate_fails_the_suite(self, monkeypatch):
+        # an extremal engine that misses every occurrence trips the witness
+        # certificate; the run reports a failed check instead of raising
+        monkeypatch.setattr(matrices._RowEngine, "blocked",
+                            lambda self, state: 0)
+        manifest = run_suite("matrix")
+        assert not manifest.ok
+        failed = [c for c in manifest.checks if not c.passed]
+        assert [c.name for c in failed] == ["matrix:internal-checks"]
+        assert "invalid witness" in failed[0].detail
 
     def test_deterministic_given_seed(self):
         a = run_suite("core", seed=99).as_dict()
