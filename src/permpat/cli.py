@@ -16,8 +16,8 @@ from pathlib import Path
 
 from .bigraphs import (ContractionPlan, bounds, census_avoiding_graphs,
                        contract, graph_of_word, ordered_contains)
-from .counting import (count_avoiders, count_multiset_avoiders,
-                       records_to_csv, records_to_json, sequence)
+from .counting import (count_multiset_avoiders, records_to_csv,
+                       records_to_json, sequence)
 from .errors import BudgetExceeded, ParseError
 from .matrices import BinaryMatrix, extremal_table
 from .verify import DEFAULT_SEED, SUITES, run_suite
@@ -45,17 +45,11 @@ def _cmd_contains(args) -> int:
 
 def _cmd_count(args) -> int:
     pattern = Word.parse(args.pattern)
-    if args.n is None and args.n_max is None:
-        raise ParseError("give --n or --n-max")
     if args.n_max is not None:
-        records = sequence(pattern, args.n_max, args.m, workers=args.workers)
+        records = sequence(pattern, args.n_max, args.m)
     else:
-        spec = MultisetSpec.regular(args.n, args.m)
-        if args.m == 1 and pattern.is_permutation:
-            records = [count_avoiders(args.n, pattern, workers=args.workers)]
-        else:
-            records = [count_multiset_avoiders(spec, pattern,
-                                               workers=args.workers)]
+        records = [count_multiset_avoiders(
+            MultisetSpec.regular(args.n, args.m), pattern)]
     if args.format == "json":
         print(records_to_json(records))
     else:
@@ -153,11 +147,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="count pattern-avoiding arrangements")
     p.add_argument("--pattern", required=True)
-    p.add_argument("--n", type=int)
-    p.add_argument("--n-max", type=int)
+    sizes = p.add_mutually_exclusive_group(required=True)
+    sizes.add_argument("--n", type=int)
+    sizes.add_argument("--n-max", type=int)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_count)
 
     p = sub.add_parser("extremal",

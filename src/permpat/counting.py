@@ -25,11 +25,6 @@ from .words import MultisetSpec, Word, _ranks, contains_bruteforce
 
 # Upper bound on the number of arrangements an exact count may range over.
 DEFAULT_MAX_TOTAL = 10_000_000
-# Fewest arrangements for which workers > 1 starts a process pool.  Tasks
-# split by first letter share no states, so their work sums to 1.6-4.4x
-# that of one layered count (n = 10), and starting the pool costs tens of
-# milliseconds: below this size one process won at every size measured.
-POOL_MIN_TOTAL = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -283,22 +278,15 @@ def _engine(pattern: tuple[int, ...]) -> _Engine:
     return _Engine(pattern)
 
 
-def _count_task(mults: tuple[int, ...], pattern: tuple[int, ...], first: int) -> int:
-    """Worker entry: count avoiders whose first letter is `first`."""
-    engine = _engine(pattern)
-    after = dict(engine.successors(mults, frozenset())).get(first - 1)
-    return 0 if after is None else engine.count(*after)
-
-
 def count_multiset_avoiders(spec: MultisetSpec, pattern: Word, *,
                             workers: int = 1,
                             max_total: int = DEFAULT_MAX_TOTAL) -> CountRecord:
     """Exact number of arrangements of the multiset avoiding the pattern.
 
-    With workers > 1 and at least POOL_MIN_TOTAL arrangements the search
-    is partitioned by first letter over a process pool and the partial
-    counts are summed exactly, so the total is independent of scheduling;
-    smaller counts run in this process.
+    The count runs in this process.  `workers` is validated (it must be at
+    least 1) but selects nothing: it stays only for callers that still pass
+    it, and goes once the benchmark's count jobs stop passing workers=2
+    (ROADMAP item 1).
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -306,27 +294,17 @@ def count_multiset_avoiders(spec: MultisetSpec, pattern: Word, *,
     if total > max_total:
         raise BudgetExceeded(
             f"{total} arrangements exceed the counting budget of {max_total}")
-    entries = pattern.entries
-    if workers > 1 and total >= POOL_MIN_TOTAL:
-        # imported only when a pool starts: the pool machinery is about half
-        # of the package's import time
-        from concurrent.futures import ProcessPoolExecutor
-
-        firsts = [v for v in range(1, spec.n + 1) if spec.multiplicities[v - 1]]
-        # the pool starts every worker up front, so start no idle ones
-        with ProcessPoolExecutor(max_workers=min(workers, len(firsts))) as pool:
-            parts = pool.map(_count_task,
-                             [spec.multiplicities] * len(firsts),
-                             [entries] * len(firsts), firsts)
-        count = sum(parts)
-    else:
-        count = _engine(entries).count(spec.multiplicities)
+    count = _engine(pattern.entries).count(spec.multiplicities)
     return CountRecord(spec=spec, pattern=pattern, count=count, total=total)
 
 
 def count_avoiders(n: int, pattern: Word, *, workers: int = 1,
                    max_total: int = DEFAULT_MAX_TOTAL) -> CountRecord:
-    """Exact number of permutations of {1..n} avoiding an ordinary pattern."""
+    """Exact number of permutations of {1..n} avoiding an ordinary pattern.
+
+    `workers` is validated but selects nothing, as in
+    count_multiset_avoiders.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not pattern.is_permutation:
@@ -347,14 +325,14 @@ def count_avoiders_bruteforce(n: int, pattern: Word) -> int:
     return count_multiset_avoiders_bruteforce(MultisetSpec.unit(n), pattern)
 
 
-def sequence(pattern: Word, n_max: int, m: int = 1, *, workers: int = 1,
+def sequence(pattern: Word, n_max: int, m: int = 1, *,
              max_total: int = DEFAULT_MAX_TOTAL) -> list[CountRecord]:
     """Tabulate avoider counts on [n]_m for n = 1..n_max, each computed
     independently."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     return [count_multiset_avoiders(MultisetSpec.regular(n, m), pattern,
-                                    workers=workers, max_total=max_total)
+                                    max_total=max_total)
             for n in range(1, n_max + 1)]
 
 

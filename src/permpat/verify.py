@@ -232,7 +232,7 @@ def _suite_catalan(rng: random.Random) -> list[Check]:
                         " against Gessel (1234) and Bona (1342)" +
                         ("" if got == want else f", expected {want}")))
 
-    ones = all(r.count == 1 for r in sequence(Word.parse("12"), 6))
+    ones = [r.count for r in sequence(Word.parse("12"), 6)] == [1] * 6
     singles = all(count_avoiders(1, Word.parse(p)).count == 1
                   for p in ("12", "321", "1342"))
     checks.append(Check("trivial-counts", ones and singles,

@@ -3,7 +3,6 @@ import time
 
 import pytest
 
-from permpat import counting
 from permpat.verify import run_suite
 
 
@@ -18,10 +17,9 @@ def verify_all():
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """Replace the process pool of the counting and census drivers with an
-    inline map that starts no process, and let counts of any size take the
-    pool route; returns the list of the max_workers values each pool was
-    asked for."""
+    """Replace the process pool of the census driver with an inline map
+    that starts no process; returns the list of the max_workers values
+    each pool was asked for."""
     sizes = []
 
     class InlinePool:
@@ -37,7 +35,6 @@ def inline_pool(monkeypatch):
         def map(self, fn, *iterables):
             return list(map(fn, *iterables))
 
-    # the drivers import the pool class from here when a pool starts
+    # the driver imports the pool class from here when a pool starts
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(counting, "POOL_MIN_TOTAL", 0)
     return sizes

@@ -91,21 +91,26 @@ class TestCountCommand:
         assert [r["count"] for r in rows] == ["1", "1", "1"]
 
     def test_missing_n(self, capsys):
-        code, _, err = run(capsys, "count", "--pattern", "12")
-        assert code == 2
+        # argparse refuses the call before any count starts
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--pattern", "12"])
+        assert exc.value.code == 2
+        assert "one of the arguments --n --n-max is required" in (
+            capsys.readouterr().err)
+
+    def test_n_and_n_max_exclusive(self, capsys):
+        # an input error, not a table that silently ignores --n
+        with pytest.raises(SystemExit) as exc:
+            main(["count", "--pattern", "12", "--n", "3", "--n-max", "2"])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "not allowed with argument" in out.err
 
     def test_budget_refusal(self, capsys):
         code, _, err = run(capsys, "count", "--pattern", "12", "--n", "12")
         assert code == 3
         assert "refused" in err
-
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_invalid_workers(self, capsys, workers):
-        for args in (("--n", "3"), ("--n-max", "3"), ("--n", "2", "--m", "2")):
-            code, out, err = run(capsys, "count", "--pattern", "12", *args,
-                                 "--workers", workers)
-            assert code == 2 and out == ""
-            assert "workers" in err
 
 
 class TestExtremalCommand:
