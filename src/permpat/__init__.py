@@ -1,9 +1,8 @@
 """Exact pattern avoidance for permutations and multiset words, with the
 matching 0-1 matrix extremal function and bipartite-graph contraction."""
 
-from .bigraphs import (BipartiteGraph, ContractionPlan, bounds,
-                       census_avoiding_graphs, contract, fiber_size,
-                       graph_of_word, ordered_contains)
+from .bigraphs import (BipartiteGraph, bounds, census_avoiding_graphs,
+                       contract, fiber_size, graph_of_word, ordered_contains)
 from .counting import (catalan, count_avoiders, count_multiset_avoiders,
                        records_to_csv, records_to_json, sequence,
                        stirling_approx, stirling_count, total_words)
@@ -17,8 +16,8 @@ from .words import (MultisetSpec, Word, canonicalize, complement,
 # The operations the CLI and the README use; everything else is reached
 # through its module.
 __all__ = [
-    "BinaryMatrix", "BipartiteGraph", "BudgetExceeded", "ContractionPlan",
-    "MultisetSpec", "ParseError", "RunManifest", "Word", "bounds",
+    "BinaryMatrix", "BipartiteGraph", "BudgetExceeded", "MultisetSpec",
+    "ParseError", "RunManifest", "Word", "bounds",
     "canonicalize", "catalan", "census_avoiding_graphs", "complement",
     "contained_patterns", "contains", "contract", "count_avoiders",
     "count_multiset_avoiders", "dq_estimate", "extremal_f", "extremal_table",

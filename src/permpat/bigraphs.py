@@ -3,13 +3,15 @@ contraction, fiber accounting and the resulting formula bounds.
 
 A word w of length l over {1..n} becomes a graph on ([l],[n]) with one
 edge (i, w_i) per position.  Contracting consecutive left-vertex blocks
-of sizes m_1..m_n yields a graph on ([n],[right]); an avoiding graph
-stays avoiding under contraction when the forbidden pattern is an
-ordinary permutation, and each contracted edge over a block of size m
-is the image of exactly 2^m - 1 edge sets.
+of sizes m_1..m_n, the multiplicities of a MultisetSpec, yields a graph
+on ([n],[right]); an avoiding graph stays avoiding under contraction
+when the forbidden pattern is an ordinary permutation, and each
+contracted edge over a block of size m is the image of exactly 2^m - 1
+edge sets.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -81,29 +83,6 @@ class BipartiteGraph:
             "right_size": self.right_size,
             "edges": [list(e) for e in self.sorted_edges],
         }
-
-
-@dataclass(frozen=True)
-class ContractionPlan:
-    """Consecutive left-vertex blocks of sizes m_1..m_n: block i covers
-    positions m_1+...+m_{i-1}+1 through m_1+...+m_i."""
-
-    spec: MultisetSpec
-
-    @property
-    def n(self) -> int:
-        return self.spec.n
-
-    @property
-    def length(self) -> int:
-        return self.spec.length
-
-    def block_of(self) -> tuple[int, ...]:
-        """block_of()[p-1] is the 1-indexed block containing position p."""
-        out = []
-        for i, m in enumerate(self.spec.multiplicities, start=1):
-            out.extend([i] * m)
-        return tuple(out)
 
 
 def graph_of_word(word: Word, spec: MultisetSpec) -> BipartiteGraph:
@@ -203,27 +182,28 @@ def graph_of_matrix(M: BinaryMatrix) -> BipartiteGraph:
         for c, v in enumerate(row, start=1) if v))
 
 
-def contract(G: BipartiteGraph, plan: ContractionPlan) -> BipartiteGraph:
-    """Merge each left block to one vertex, keeping an edge (i, j) when any
-    block member had an edge to j."""
-    if G.left_size != plan.length:
+def contract(G: BipartiteGraph, spec: MultisetSpec) -> BipartiteGraph:
+    """Merge consecutive left blocks of sizes m_1..m_n to one vertex each,
+    keeping an edge (i, j) when any member of block i had an edge to j."""
+    if G.left_size != spec.length:
         raise ValueError(
-            f"graph has {G.left_size} left vertices, plan covers {plan.length}")
-    block_of = plan.block_of()
+            f"graph has {G.left_size} left vertices, spec covers {spec.length}")
+    block_of = [i for i, m in enumerate(spec.multiplicities, start=1)
+                for _ in range(m)]
     edges = frozenset((block_of[i - 1], j) for i, j in G.edges)
-    return BipartiteGraph(plan.n, G.right_size, edges)
+    return BipartiteGraph(spec.n, G.right_size, edges)
 
 
-def fiber_size(Gp: BipartiteGraph, plan: ContractionPlan) -> int:
+def fiber_size(Gp: BipartiteGraph, spec: MultisetSpec) -> int:
     """Number of graphs on ([length],[right]) contracting exactly to Gp.
 
     Each contracted edge (i, j) is the image of any nonempty subset of the
     block-i-to-j edges (2^{m_i} - 1 choices); non-edges force emptiness.
     """
-    if Gp.left_size != plan.n:
+    if Gp.left_size != spec.n:
         raise ValueError(
-            f"graph has {Gp.left_size} left vertices, plan contracts to {plan.n}")
-    mults = plan.spec.multiplicities
+            f"graph has {Gp.left_size} left vertices, spec contracts to {spec.n}")
+    mults = spec.multiplicities
     out = 1
     for i, _ in Gp.edges:
         out *= 2 ** mults[i - 1] - 1
@@ -233,52 +213,22 @@ def fiber_size(Gp: BipartiteGraph, plan: ContractionPlan) -> int:
 DEFAULT_CENSUS_CELLS = 20
 
 
-def _census_range(left_size: int, right_size: int, start: int, stop: int,
-                  pattern: Word) -> int:
-    gq = pattern_graph(pattern)
-    return sum(
-        1 for mask in range(start, stop)
-        if not ordered_contains(
-            BipartiteGraph.from_mask(left_size, right_size, mask), gq))
-
-
-def census_avoiding_graphs(n: int, m: int, pattern: Word, *, workers: int = 1,
+def census_avoiding_graphs(n: int, m: int, pattern: Word, *,
                            max_cells: int = DEFAULT_CENSUS_CELLS) -> int:
     """Count bipartite graphs on ([n*m],[n]) avoiding the pattern's graph,
-    by exhausting all 2^(n*m*n) edge subsets.
-
-    With workers > 1 the mask space is split into fixed high-bit ranges;
-    the total is an exact sum independent of scheduling.
-    """
+    by exhausting all 2^(n*m*n) edge subsets."""
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
     if not pattern.is_permutation:
         raise ValueError("census pattern must be an ordinary permutation")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     cells = n * m * n
     if cells > max_cells:
         raise BudgetExceeded(
             f"census over 2^{cells} graphs exceeds the guard of 2^{max_cells}")
-    a, b = n * m, n
-    if workers > 1:
-        # imported only when a pool starts: the pool machinery is about half
-        # of the package's import time
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunks = min(4 * workers, 1 << cells)
-        step = (1 << cells) // chunks
-        bounds_list = [(k * step, (k + 1) * step if k < chunks - 1 else 1 << cells)
-                       for k in range(chunks)]
-        # the pool starts every worker up front, so start no idle ones
-        with ProcessPoolExecutor(max_workers=min(workers, chunks)) as pool:
-            parts = pool.map(_census_range,
-                             [a] * chunks, [b] * chunks,
-                             [lo for lo, _ in bounds_list],
-                             [hi for _, hi in bounds_list],
-                             [pattern] * chunks)
-        return sum(parts)
-    return _census_range(a, b, 0, 1 << cells, pattern)
+    left, gq = n * m, pattern_graph(pattern)
+    return sum(
+        1 for mask in range(1 << cells)
+        if not ordered_contains(BipartiteGraph.from_mask(left, n, mask), gq))
 
 
 @dataclass(frozen=True)
@@ -310,10 +260,11 @@ class Power:
         return f"{self.base}^({self.exponent})"
 
     def as_dict(self) -> dict:
+        value = self.value
         return {
             "base": self.base,
             "exponent": str(self.exponent),
-            "value": None if self.value is None else _decimal(self.value),
+            "value": None if value is None else _decimal(value),
         }
 
 
@@ -348,6 +299,21 @@ class BoundRecord:
         }
 
 
+# Largest number of decimal digits `bounds` lets a base or a value reach.
+# Rendering grows with the square of the digit count: on Python 3.11.7 (2
+# vCPUs) one 100,000-digit value is formed and rendered in 0.23 s, and
+# `permpat bounds` prints a record at the cap in under 0.7 s.
+MAX_BOUND_DIGITS = 100_000
+
+
+def _guard_digits(name: str, log10_base: float, exponent: Fraction) -> None:
+    """Refuse a power whose base or value would pass MAX_BOUND_DIGITS digits,
+    judged from logarithms before either is formed."""
+    if max(exponent, 1) * Fraction(log10_base) > MAX_BOUND_DIGITS:
+        raise BudgetExceeded(
+            f"{name}: base or value would pass {MAX_BOUND_DIGITS} digits")
+
+
 def bounds(n: int, m: int, d) -> BoundRecord:
     """Evaluate 15^(2dn) for balanced avoiding graphs, ((2^m-1)*15^2)^(dn)
     for the multiset side, and the per-symbol constant (2*15^2)^d = 450^d."""
@@ -357,6 +323,13 @@ def bounds(n: int, m: int, d) -> BoundRecord:
     if d < 0:
         raise ValueError("slope d must be >= 0")
     dn = d * n
+    _guard_digits("klazar_bound", math.log10(15), 2 * dn)
+    # log10(2^m - 1) = m log10(2) + log10(1 - 2^-m); clamping m keeps the
+    # float finite, and a clamped base is refused anyway
+    _guard_digits("multiset_bound", min(m, 4 * MAX_BOUND_DIGITS)
+                  * math.log10(2) + math.log10(1 - 2.0**-m)
+                  + math.log10(15**2), dn)
+    _guard_digits("e_q", math.log10(2 * 15**2), d)
     return BoundRecord(
         n=n, m=m, d=d,
         klazar_bound=Power(15, 2 * dn),

@@ -14,8 +14,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .bigraphs import (ContractionPlan, bounds, census_avoiding_graphs,
-                       contract, graph_of_word, ordered_contains)
+from .bigraphs import (bounds, census_avoiding_graphs, contract,
+                       graph_of_word, ordered_contains)
 from .counting import (count_multiset_avoiders, records_to_csv,
                        records_to_json, sequence)
 from .errors import BudgetExceeded, ParseError
@@ -93,9 +93,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_census(args) -> int:
     pattern = Word.parse(args.pattern)
-    value = census_avoiding_graphs(args.n, args.m, pattern,
-                                   workers=args.workers)
-    print(value)
+    print(census_avoiding_graphs(args.n, args.m, pattern))
     return EXIT_OK
 
 
@@ -114,10 +112,9 @@ def _cmd_counterexample(args) -> int:
     repeated-letter pattern 111."""
     w = Word.parse("1212")
     q = Word.parse("111")
-    gw = graph_of_word(w, MultisetSpec.regular(2, 2))
-    gq = graph_of_word(q, MultisetSpec((3,)))
-    cw = contract(gw, ContractionPlan(MultisetSpec.regular(2, 2)))
-    cq = contract(gq, ContractionPlan(MultisetSpec((3,))))
+    sw, sq = MultisetSpec.regular(2, 2), MultisetSpec((3,))
+    gw, gq = graph_of_word(w, sw), graph_of_word(q, sq)
+    cw, cq = contract(gw, sw), contract(gq, sq)
     before = ordered_contains(gw, gq)
     after = ordered_contains(cw, cq)
     print(f"graph of {w}:")
@@ -172,7 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("bounds", help="formula bounds at slope d")

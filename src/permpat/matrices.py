@@ -53,15 +53,6 @@ class BinaryMatrix:
         except ValueError as exc:
             raise ParseError(str(exc)) from None
 
-    @classmethod
-    def from_ones(cls, rows: int, cols: int,
-                  ones: Sequence[tuple[int, int]]) -> "BinaryMatrix":
-        """Build from 1-indexed (row, col) positions of the 1-entries."""
-        cells = [[0] * cols for _ in range(rows)]
-        for r, c in ones:
-            cells[r - 1][c - 1] = 1
-        return cls(tuple(tuple(row) for row in cells))
-
     @property
     def rows(self) -> int:
         return len(self.cells)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
 
-from .bigraphs import (BipartiteGraph, ContractionPlan, adjacency, bounds,
+from .bigraphs import (BipartiteGraph, adjacency, bounds,
                        census_avoiding_graphs, contract, fiber_size,
                        graph_of_matrix, graph_of_word, ordered_contains,
                        ordered_contains_bruteforce, pattern_graph)
@@ -509,13 +509,12 @@ def _suite_contraction(rng: random.Random) -> list[Check]:
     ordinary = [Word.parse(p) for p in SMALL_PATTERNS]
     ordinary_graphs = [(q, pattern_graph(q)) for q in ordinary]
 
-    g1212 = graph_of_word(Word.parse("1212"), MultisetSpec.regular(2, 2))
-    g111 = graph_of_word(Word.parse("111"), MultisetSpec((3,)))
-    plan_top = ContractionPlan(MultisetSpec.regular(2, 2))
-    plan_bottom = ContractionPlan(MultisetSpec((3,)))
+    spec_top, spec_bottom = MultisetSpec.regular(2, 2), MultisetSpec((3,))
+    g1212 = graph_of_word(Word.parse("1212"), spec_top)
+    g111 = graph_of_word(Word.parse("111"), spec_bottom)
     before = ordered_contains(g1212, g111)
-    after = ordered_contains(contract(g1212, plan_top),
-                             contract(g111, plan_bottom))
+    after = ordered_contains(contract(g1212, spec_top),
+                             contract(g111, spec_bottom))
     checks.append(Check("contraction-counterexample",
                         before is False and after is True,
                         f"1212 vs 111: containment before {before}, "
@@ -554,14 +553,14 @@ def _suite_contraction(rng: random.Random) -> list[Check]:
     inh_bad = 0
     inh_cases = 0
     for n, m in ((2, 1), (2, 2), (3, 1)):
-        plan = ContractionPlan(MultisetSpec.regular(n, m))
+        spec = MultisetSpec.regular(n, m)
         for G in _graphs_on(n * m, n):
             contracted = None
             for _, gq in ordinary_graphs:
                 if not ordered_contains(G, gq):
                     inh_cases += 1
                     if contracted is None:
-                        contracted = contract(G, plan)
+                        contracted = contract(G, spec)
                     if ordered_contains(contracted, gq):
                         inh_bad += 1
     checks.append(Check("inheritance-exhaustive", inh_bad == 0,
@@ -571,8 +570,7 @@ def _suite_contraction(rng: random.Random) -> list[Check]:
     rand_bad = 0
     avoiding_seen = 0
     sizes = ((3, 2), (4, 2), (3, 3))
-    plans = {(n, m): ContractionPlan(MultisetSpec.regular(n, m))
-             for n, m in sizes}
+    specs = {(n, m): MultisetSpec.regular(n, m) for n, m in sizes}
     for t in range(10000):
         n, m = sizes[t % len(sizes)]
         cells = n * m * n
@@ -585,7 +583,7 @@ def _suite_contraction(rng: random.Random) -> list[Check]:
             if not ordered_contains(G, gq):
                 avoiding_seen += 1
                 if contracted is None:
-                    contracted = contract(G, plans[n, m])
+                    contracted = contract(G, specs[n, m])
                 if ordered_contains(contracted, gq):
                     rand_bad += 1
     checks.append(Check("inheritance-random", rand_bad == 0,
@@ -602,39 +600,38 @@ def _suite_contraction(rng: random.Random) -> list[Check]:
 def _suite_proof_chain(rng: random.Random) -> list[Check]:
     checks = []
 
-    plan2 = ContractionPlan(MultisetSpec((2,)))
     single = BipartiteGraph(1, 1, frozenset({(1, 1)}))
     checks.append(Check("fiber-single-edge",
-                        fiber_size(single, plan2) == 3,
+                        fiber_size(single, MultisetSpec((2,))) == 3,
                         "one edge over a block of size 2 has 3 preimages"))
 
     part_bad = []
     for n in range(1, 3):
         for m in range(1, 4):
-            plan = ContractionPlan(MultisetSpec.regular(n, m))
-            sigma = sum(fiber_size(G, plan) for G in _graphs_on(n, n))
+            spec = MultisetSpec.regular(n, m)
+            sigma = sum(fiber_size(G, spec) for G in _graphs_on(n, n))
             if sigma != 2 ** (m * n * n):
                 part_bad.append((n, m, sigma))
     checks.append(Check("fiber-partition", not part_bad,
                         "fiber sizes sum to 2^(m*n^2) for n <= 2, m <= 3"))
 
-    plan22 = ContractionPlan(MultisetSpec.regular(2, 2))
+    spec22 = MultisetSpec.regular(2, 2)
     k22 = BipartiteGraph(2, 2, frozenset({(1, 1), (1, 2), (2, 1), (2, 2)}))
     inverted = sum(1 for G in _graphs_on(4, 2)
-                   if contract(G, plan22) == k22)
+                   if contract(G, spec22) == k22)
     checks.append(Check("fiber-inversion",
-                        inverted == 81 == fiber_size(k22, plan22),
+                        inverted == 81 == fiber_size(k22, spec22),
                         "exhaustive preimage count of the complete graph "
                         "over 256 graphs"))
 
     chain_bad = []
     for n, m in ((2, 1), (2, 2), (3, 1)):
-        plan = ContractionPlan(MultisetSpec.regular(n, m))
+        spec = MultisetSpec.regular(n, m)
         for pat in ("12", "21"):
             q = Word.parse(pat)
             gq = pattern_graph(q)
             census = census_avoiding_graphs(n, m, q)
-            fiber_total = sum(fiber_size(G, plan) for G in _graphs_on(n, n)
+            fiber_total = sum(fiber_size(G, spec) for G in _graphs_on(n, n)
                               if not ordered_contains(G, gq))
             if census > fiber_total:
                 chain_bad.append((n, m, pat, census, fiber_total))

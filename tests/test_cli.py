@@ -19,7 +19,8 @@ def run(capsys, *argv):
 
 
 def test_import_loads_no_pool_machinery():
-    # the drivers import the process pool only when a pool starts
+    # no module starts a process pool, so importing the CLI must not pull
+    # in the pool machinery (about half of the package's import time)
     src = str(Path(permpat.__file__).resolve().parent.parent)
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import permpat.cli; "
             "print('concurrent.futures' in sys.modules)")
@@ -208,11 +209,12 @@ class TestOtherCommands:
         assert code == 0
         assert out.strip() == "80"
 
-    def test_census_invalid_workers(self, capsys):
-        code, out, err = run(capsys, "census", "--pattern", "12", "--n", "2",
-                             "--m", "1", "--workers", "0")
-        assert code == 2 and out == ""
-        assert "workers" in err
+    def test_census_has_no_workers_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--pattern", "12", "--n", "2", "--m", "2",
+                  "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_census_budget(self, capsys):
         code, _, err = run(capsys, "census", "--pattern", "12", "--n", "3",
@@ -244,6 +246,12 @@ class TestOtherCommands:
             chunk = digits[i:i + 1000]
             value = value * 10 ** len(chunk) + int(chunk)
         assert value == 15 ** 7200
+
+    def test_bounds_digit_guard(self, capsys):
+        code, out, err = run(capsys, "bounds", "--n", "1000000", "--m", "2",
+                             "--d", "1")
+        assert code == 3 and out == ""
+        assert "digits" in err
 
     def test_bounds_bad_slope(self, capsys):
         code, _, err = run(capsys, "bounds", "--n", "1", "--m", "1",
