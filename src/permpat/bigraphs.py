@@ -262,7 +262,7 @@ class Power:
     def as_dict(self) -> dict:
         value = self.value
         return {
-            "base": self.base,
+            "base": _decimal(self.base),
             "exponent": str(self.exponent),
             "value": None if value is None else _decimal(value),
         }

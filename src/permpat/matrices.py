@@ -5,14 +5,17 @@ P can produce a matrix with a 1 wherever Q has a 1 (extra 1s in P are
 fine).  extremal_f computes the largest number of 1s an n x n matrix can
 carry while avoiding a permutation matrix pattern, exactly, with a
 row-transfer search: rows are decided top to bottom over states made of
-the pattern's dominance-pruned partial embeddings.
+the pattern's dominance-pruned partial embeddings, and the rows a state
+allows are searched as effect classes, one per distinct effect on the
+next state, not one by one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from typing import Callable, NamedTuple, Sequence
+from itertools import combinations
+from operator import itemgetter
+from typing import NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ParseError
 from .words import Word
@@ -149,6 +152,18 @@ def matrix_contains(P: BinaryMatrix, Q: BinaryMatrix) -> bool:
 # complete, and those whose every growth is dominated one level up.  A grid
 # row advances an embedding by at most one pattern row, since pattern rows map
 # to distinct grid rows.
+#
+# A row reaches the next state only through each growing embedding's hits in
+# its window, and of those the dominance rule keeps all for a new pin read both
+# ways, the highest for one read as an upper end, the lowest for one read as a
+# lower end, and only "some" for one never read; a column whose growth an
+# embedding carried into the next state already dominates counts for nothing.
+# Rows that agree on these effects lead to the same state, so the successors
+# of a state are its effect classes, each with the largest weight among its
+# rows.  The classes are built column by column, merging equal partial
+# effects; where the first pin is read both ways they stay close to one class
+# per row.  Successor states are built once per class, and pruned once per
+# distinct set of grown embeddings.
 
 _LO, _HI, _BOTH = 1, 2, 3
 
@@ -193,6 +208,10 @@ class _RowEngine:
                            for t in range(k + 1))
         self.n, self.k = n, k
         self.memo: dict[tuple[int, tuple], int] = {}
+        self.transitions = 0    # successors built, one per effect class
+        self.prune_memo: dict[tuple, tuple] = {}
+        # one copy of each successor state and of each grown embedding
+        self.shared: dict[tuple, tuple] = {}
         self.growth_memo: dict[tuple[int, tuple], list] = {}
 
     def window(self, t: int, pins: tuple[int, ...]) -> int:
@@ -210,38 +229,6 @@ class _RowEngine:
             if t == self.k - 1:
                 mask |= self.window(t, pins)
         return mask
-
-    def successor(self, state: tuple,
-                  rows_after: int) -> Callable[[int], tuple]:
-        """The map from a row that `blocked` allows to the state after it,
-        keeping only the embeddings that `rows_after` more rows can
-        complete."""
-        k, steps, roles = self.k, self.steps, self.roles
-        carried: dict[int, set] = {}
-        for t, pins in state:
-            if t + rows_after >= k:
-                carried.setdefault(t, set()).add(pins)
-        # per embedding that may grow: its window, the level it grows into,
-        # how its new pin is read, and the pins it grows into per column
-        growing = []
-        for t, pins in ((0, ()), *state):
-            if k - rows_after <= t + 1 < k:
-                step = steps[t]
-                grows = [tuple([(*pins, x)[i] for i in step.keep])
-                         for x in range(self.n)]
-                growing.append((self.window(t, pins), t + 1, step.role, grows))
-
-        def after(row: int) -> tuple:
-            grown = {t: set(level) for t, level in carried.items()}
-            for window, t, role, grows in growing:
-                hits = row & window
-                if not hits:
-                    continue
-                grown.setdefault(t, set()).update(
-                    [grows[x] for x in _best_columns(hits, role)])
-            return self.prune(grown)
-
-        return after
 
     def prune(self, grown: dict[int, set]) -> tuple:
         """The state made of the embeddings in `grown` (level -> pins) that
@@ -279,46 +266,194 @@ class _RowEngine:
         memo = self.memo
         if key in memo:
             return memo[key]
-        n = self.n
-        if r == n:
+        if r == self.n:
             return 0
         # no state does better than the empty one
         bound = self.value(r + 1, ())
-        blocked = self.blocked(state)
-        cols = [1 << c for c in range(n) if not blocked >> c & 1]
-        after = self.successor(state, n - 1 - r)
+        rows = _RowClasses(self, state, self.n - 1 - r)
         best = -1
-        for weight in range(len(cols), -1, -1):
+        for effect, weight in _by_weight(rows.weights(rows.cols)):
             if weight + bound <= best:
                 break
-            for picked in combinations(cols, weight):
-                best = max(best, weight + self.value(r + 1, after(sum(picked))))
+            best = max(best, weight + self.value(r + 1, rows.after(effect)))
         memo[key] = best
         return best
 
     def witness(self) -> tuple[tuple[int, ...], ...]:
         """An optimal grid: row by row, the lexicographically largest row
-        (column 0 first, 1 before 0) that still reaches the optimum."""
+        (column 0 first, 1 before 0) that still reaches the optimum.  Each
+        free column keeps a 1 when some class of the columns after it,
+        joined to the row so far, still does."""
         n = self.n
-        rows, state = [], ()
+        grid, state = [], ()
         for r in range(n):
             target = self.value(r, state)
             bound = self.value(r + 1, ())
-            blocked = self.blocked(state)
-            cols = [c for c in range(n) if not blocked >> c & 1]
-            after = self.successor(state, n - 1 - r)
-            # product() runs through the free columns' bits lexicographically
-            for bits in product((1, 0), repeat=len(cols)):
-                weight = sum(bits)
-                if weight + bound < target:
+            rows = _RowClasses(self, state, n - 1 - r)
+            effect, weight, row = rows.none, 0, 0
+            for i, c in enumerate(rows.cols):
+                grown = rows.step(effect, c)
+                # the heaviest rest first; each join is a class of the row
+                rest = rows.weights(rows.cols[i + 1:])
+                for tail, w in _by_weight(rest):
+                    if weight + 1 + w + bound < target:
+                        break
+                    joined = rows.join(grown, tail)
+                    if (weight + 1 + w
+                            + self.value(r + 1, rows.after(joined)) == target):
+                        effect, weight, row = grown, weight + 1, row | 1 << c
+                        break
+            grid.append(tuple(row >> c & 1 for c in range(n)))
+            state = rows.after(effect)
+        return tuple(grid)
+
+
+class _RowClasses:
+    """The rows that `blocked` allows in a state, grouped into the effect
+    classes described above; only embeddings that `rows_after` more rows
+    can complete are kept.  An effect holds one column mask per growing
+    embedding and depends only on the set of 1s, so classes are built one
+    column at a time, merging equal partial effects, and the classes of a
+    row's two parts join into the class of the row."""
+
+    def __init__(self, engine: _RowEngine, state: tuple, rows_after: int):
+        n, k, steps = engine.n, engine.k, engine.steps
+        free = ~engine.blocked(state) & ((1 << n) - 1)
+        self.engine = engine
+        self.carried = frozenset(emb for emb in state
+                                 if emb[0] + rows_after >= k)
+        # per embedding that may grow: the level it grows into, how its new
+        # pin is read, and the embedding it grows into per column, for the
+        # free columns where no carried embedding dominates the growth
+        # (which prune would drop); touch[c] lists those that column c grows
+        self.growing = []
+        self.first = []         # lowest column of each one's window, a mask
+        touch: list[list] = [[] for _ in range(n)]
+        for t, pins in ((0, ()), *state):
+            window = engine.window(t, pins) & free
+            if not window or not k - rows_after <= t + 1 < k:
+                continue
+            step, roles = steps[t], engine.roles[t + 1]
+            rivals = [other for level, other in self.carried if level == t + 1]
+            grows = {}
+            for c in range(n):
+                if window >> c & 1:
+                    grow = tuple([(*pins, c)[i] for i in step.keep])
+                    if not any(_dominates(other, grow, roles)
+                               for other in rivals):
+                        touch[c].append((len(self.growing), step.role))
+                        grows[c] = engine.shared.setdefault((t + 1, grow),
+                                                            (t + 1, grow))
+            if grows:
+                self.growing.append((t + 1, step.role, grows))
+                self.first.append(1 << min(grows))
+        self.touch = touch
+        self.cols = [c for c in range(n) if free >> c & 1]
+        self.none = (0,) * len(self.growing)
+        self.successors: dict[tuple, tuple] = {}
+        # Columns are added right to left when only upper ends are read, else
+        # left to right, so that an effect that has its lowest (highest) hit
+        # is final.  later[c]: the embeddings that columns added after c
+        # touch, or None when one of them may change after its first hit.
+        roles = {role for _, role, _ in self.growing}
+        self.falling = _HI in roles and _LO not in roles
+        final = _HI if self.falling else _LO
+        self.later: dict[int, tuple | None] = {}
+        seen: dict[int, None] = {}
+        settles = True
+        for c in (self.cols if self.falling else reversed(self.cols)):
+            self.later[c] = tuple(seen) if settles else None
+            for i, role in touch[c]:
+                seen[i] = None
+                settles = settles and role in (final, 0)
+
+    def step(self, effect: tuple, c: int) -> tuple:
+        """The effect of the 1s of `effect` and a 1 in free column c."""
+        bit = 1 << c
+        grown = None
+        for i, role in self.touch[c]:
+            hits = effect[i]
+            if role == _BOTH:
+                hits |= bit
+            elif role == _LO:
+                if hits and hits < bit:
                     continue
-                row = sum(bit << c for bit, c in zip(bits, cols))
-                nxt = after(row)
-                if weight + self.value(r + 1, nxt) == target:
-                    rows.append(tuple(row >> c & 1 for c in range(n)))
-                    state = nxt
-                    break
-        return tuple(rows)
+                hits = bit
+            elif role == _HI:
+                if hits > bit:
+                    continue
+                hits = bit
+            elif hits:
+                continue
+            else:
+                hits = self.first[i]
+            if grown is None:
+                grown = list(effect)
+            grown[i] = hits
+        return effect if grown is None else tuple(grown)
+
+    def join(self, a: tuple, b: tuple) -> tuple:
+        """The effect of the 1s of two effects together."""
+        return tuple([x | y if role == _BOTH or not (x and y)
+                      else min(x, y) if role == _LO
+                      else max(x, y)
+                      for x, y, (_, role, _) in zip(a, b, self.growing)])
+
+    def weights(self, cols: Sequence[int]) -> dict:
+        """The largest number of 1s that reaches each effect with a row over
+        the columns `cols` (free, in increasing order)."""
+        if self.falling:
+            cols = cols[::-1]
+        current, final = {self.none: 0}, {}
+        for j, c in enumerate(cols):
+            if not self.touch[c]:
+                current = {effect: w + 1 for effect, w in current.items()}
+                continue
+            later, rest = self.later[c], len(cols) - 1 - j
+            nxt = dict(current)
+            for effect, w in current.items():
+                grown = self.step(effect, c)
+                if later is not None and all(grown[i] for i in later):
+                    # no later column changes this effect: it takes them all
+                    if final.get(grown, -1) < w + 1 + rest:
+                        final[grown] = w + 1 + rest
+                    if grown is effect:
+                        del nxt[effect]
+                elif nxt.get(grown, -1) <= w:
+                    nxt[grown] = w + 1
+            current = nxt
+        for effect, w in current.items():
+            if final.get(effect, -1) < w:
+                final[effect] = w
+        return final
+
+    def after(self, effect: tuple) -> tuple:
+        """The state after any row of this effect."""
+        state = self.successors.get(effect)
+        if state is None:
+            engine = self.engine
+            engine.transitions += 1
+            # rows of many states and effects grow the same embeddings; a
+            # sorted tuple keys them in a fraction of a frozenset's memory
+            grown = tuple(sorted(self.carried.union([
+                grows[x]
+                for (_, role, grows), hits in zip(self.growing, effect) if hits
+                for x in _best_columns(hits, role)])))
+            state = engine.prune_memo.get(grown)
+            if state is None:
+                levels: dict[int, set] = {}
+                for t, pins in grown:
+                    levels.setdefault(t, set()).add(pins)
+                state = engine.prune(levels)
+                state = engine.prune_memo[grown] = engine.shared.setdefault(
+                    state, state)
+            self.successors[effect] = state
+        return state
+
+
+def _by_weight(weights: dict) -> list:
+    """(effect, weight) pairs, heaviest first."""
+    return sorted(weights.items(), key=itemgetter(1), reverse=True)
 
 
 def _best_columns(mask: int, role: int) -> list[int]:
@@ -366,6 +501,8 @@ class ExtremalRecord:
     value: int
     witness: BinaryMatrix
     slope: Fraction
+    states: int         # memoized (row, state) entries of the search
+    transitions: int    # effect classes whose next state was built
 
     def as_dict(self) -> dict:
         return {
@@ -374,15 +511,20 @@ class ExtremalRecord:
             "value": self.value,
             "slope": str(self.slope),
             "witness": self.witness.row_strings(),
+            "states": self.states,
+            "transitions": self.transitions,
         }
 
 
 # Size guards, keyed by pattern side length, set from the slowest pattern of
-# each side (2-vCPU VM, Python 3.11).  The largest admitted sizes take about
-# 8 s (2x2, n = 15), 6.5 s (3x3, n = 8, pattern 213), 1.2 s (4x4, n = 6) and
-# 0.7 s (5x5, n = 6); the first refused ones about 17 s, 34 s, 37 s and
-# 100 s.  A 1x1 pattern needs no search and takes the fallback cap.
-_SIDE_LIMIT = {2: 15, 3: 8}
+# each side (2-vCPU VM, Python 3.11, times on a quiet host; a busy one took up
+# to twice as long).  The largest admitted sizes take about 4.5 s (2x2,
+# n = 100), 4.5 s (3x3, n = 10, patterns 213 and 312), 5 s (4x4, n = 7,
+# 2413 and 3142) and 0.2 s (5x5, n = 6); the first refused ones about 4.5 s,
+# 13.5 s, 80 s and 15 s (51423).  2x2 time grows only about as n^3, so its
+# cap bounds one search, not the table up to it (which takes about 25 times
+# the last search).  A 1x1 pattern needs no search and takes the fallback cap.
+_SIDE_LIMIT = {2: 100, 3: 10, 4: 7}
 _FALLBACK_LIMIT = 6
 
 
@@ -404,10 +546,15 @@ def extremal_f(n: int, pattern: BinaryMatrix, *,
     The row-transfer engine decides rows top to bottom: the value is the
     memoized value-to-go over (row, state), where a state is the antichain
     of live partial embeddings, and a row may hold a 1 only where no
-    embedding completes through it.  The witness returned is the
-    lexicographically largest optimal bit string in row-major order (each
-    row, column 0 first, is the largest that still reaches the optimum); it
-    is re-checked with the full _cells_contains before it is returned.
+    embedding completes through it.  The rows a state allows are tried as
+    effect classes, rows that lead to the same next state (they keep the
+    same lowest, highest or every hit in each growing embedding's window),
+    heaviest first.  The witness returned is the lexicographically largest
+    optimal bit string in row-major order: each row is decided column by
+    column, column 0 first, keeping a 1 when some completion of the later
+    columns still reaches the optimum.  It is re-checked with the full
+    _cells_contains before it is returned.  The record also counts the
+    memoized (row, state) entries and the successors built.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -422,7 +569,8 @@ def extremal_f(n: int, pattern: BinaryMatrix, *,
             f"extremal search produced an invalid witness for n = {n}")
     return ExtremalRecord(n=n, pattern=pattern, value=value,
                           witness=BinaryMatrix(grid),
-                          slope=Fraction(value, n))
+                          slope=Fraction(value, n), states=len(engine.memo),
+                          transitions=engine.transitions)
 
 
 def extremal_table(pattern: BinaryMatrix, n_max: int, *,

@@ -468,21 +468,24 @@ def _suite_matrix(rng: random.Random) -> list[Check]:
                         (f", wrong: {exh_bad}" if exh_bad else "")))
 
     # beyond exhaustive reach: Furedi-Hajnal ex(n, I_k) = 2(k-1)n - (k-1)^2
-    # for I2, I3 and their reflections; the other 3x3 patterns match it here
+    # for I2, I3, I4 and their reflections; the other 3x3 patterns match it
+    # here.  The sizes are fixed, so each case passes its own max_n.
     fh_cases = [(pat, 6 if pat.rows == 2 else 5) for pat in pats]
     fh_cases += [(perm_to_matrix(Word.parse(p)), n)
-                 for p, n in (("12", 10), ("21", 10), ("123", 7), ("321", 7))]
+                 for p, n in (("12", 10), ("21", 10), ("12", 20), ("21", 20),
+                              ("123", 7), ("321", 7), ("1234", 8))]
     fh_bad = []
     for pat, n in fh_cases:
         k = pat.rows
-        value = extremal_f(n, pat).value
+        value = extremal_f(n, pat, max_n=n).value
         if value != 2 * (k - 1) * n - (k - 1) ** 2:
             fh_bad.append(("/".join(pat.row_strings()), n, value))
     checks.append(Check("furedi-hajnal", not fh_bad,
                         "f = 2(k-1)n - (k-1)^2: 11 for both 2x2 patterns at "
-                        "n = 6 and 19 at n = 10, 16 for all six 3x3 patterns "
-                        "at n = 5 and 24 for I3 and its anti-diagonal at "
-                        "n = 7" + (f", wrong: {fh_bad}" if fh_bad else "")))
+                        "n = 6, 19 at n = 10 and 39 at n = 20, 16 for all "
+                        "six 3x3 patterns at n = 5, 24 for I3 and its "
+                        "anti-diagonal at n = 7, and 39 for I4 at n = 8" +
+                        (f", wrong: {fh_bad}" if fh_bad else "")))
 
     tables = {pat: [extremal_f(n, perm_to_matrix(Word.parse(pat))).value
                     for n in range(1, 5)]

@@ -135,11 +135,22 @@ class TestExtremalCommand:
         blobs = json.loads(out)
         assert [b["value"] for b in blobs] == [0, 0, 0]
 
+    def test_json_search_statistics(self, capsys, tmp_path):
+        path = tmp_path / "id2.txt"
+        path.write_text("10\n01\n")
+        code, out, _ = run(capsys, "extremal", "--matrix-file", str(path),
+                           "--n-max", "14", "--format", "json")
+        last = json.loads(out)[-1]
+        assert code == 0 and (last["n"], last["value"]) == (14, 27)
+        # one successor per effect class: at most n + 1 per state for I2
+        assert last["states"] == 183
+        assert 0 < last["transitions"] <= 183 * 15
+
     def test_size_guard(self, capsys, tmp_path):
         path = tmp_path / "id2.txt"
         path.write_text("10\n01\n")
         code, _, err = run(capsys, "extremal", "--matrix-file", str(path),
-                           "--n-max", "16")
+                           "--n-max", "101")
         assert code == 3
 
     def test_failed_certificate_is_a_refusal(self, capsys, tmp_path,
@@ -226,6 +237,7 @@ class TestOtherCommands:
                            "--d", "1")
         blob = json.loads(out)
         assert blob["multiset_bound"]["value"] == "675"
+        assert blob["multiset_bound"]["base"] == "675"
 
     def test_bounds_rational(self, capsys):
         code, out, _ = run(capsys, "bounds", "--n", "5", "--m", "2",
@@ -246,6 +258,21 @@ class TestOtherCommands:
             chunk = digits[i:i + 1000]
             value = value * 10 ** len(chunk) + int(chunk)
         assert value == 15 ** 7200
+
+    def test_bounds_base_past_int_digit_limit(self, capsys):
+        # the base (2^20000 - 1) * 225 has 6023 digits; it prints as a
+        # decimal string, as values do, instead of failing in json.dumps
+        code, out, _ = run(capsys, "bounds", "--n", "1", "--m", "20000",
+                           "--d", "0")
+        assert code == 0
+        blob = json.loads(out)
+        digits = blob["multiset_bound"]["base"]
+        value = 0
+        for i in range(0, len(digits), 1000):
+            chunk = digits[i:i + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        assert value == (2 ** 20000 - 1) * 225
+        assert blob["multiset_bound"]["value"] == "1"
 
     def test_bounds_digit_guard(self, capsys):
         code, out, err = run(capsys, "bounds", "--n", "1000000", "--m", "2",
