@@ -538,7 +538,14 @@ def _suite_contraction(rng: random.Random) -> list[Check]:
                         f"word vs graph containment on {enc_cases} cases, "
                         f"{enc_bad} disagreements"))
 
-    mat_bad = 0
+    # exhaustive on small sides, including isolated vertices and left
+    # vertices with several neighbours in Q
+    hosts = [P for a in range(1, 4) for b in range(1, 4)
+             for P in _graphs_on(a, b)]
+    guests = [Q for a in range(1, 3) for b in range(1, 3)
+              for Q in _graphs_on(a, b)]
+    mat_bad = sum(1 for P in hosts for Q in guests
+                  if ordered_contains(P, Q) != ordered_contains_bruteforce(P, Q))
     for _ in range(300):
         a, b = rng.randint(1, 5), rng.randint(1, 5)
         P = BipartiteGraph.from_mask(a, b, rng.getrandbits(a * b))
@@ -550,8 +557,11 @@ def _suite_contraction(rng: random.Random) -> list[Check]:
         if want != ordered_contains_bruteforce(P, Q):
             mat_bad += 1
     checks.append(Check("matrix-equivalence", mat_bad == 0,
-                        "300 random graphs vs adjacency-matrix route and "
-                        "vs the all-injections reference"))
+                        f"all {len(hosts) * len(guests)} pairs with host "
+                        "sides <= 3 and pattern sides <= 2 vs the "
+                        "all-injections reference, and 300 random graphs vs "
+                        "the adjacency-matrix route and that reference, "
+                        f"{mat_bad} disagreements"))
 
     inh_bad = 0
     inh_cases = 0
@@ -627,31 +637,59 @@ def _suite_proof_chain(rng: random.Random) -> list[Check]:
                         "exhaustive preimage count of the complete graph "
                         "over 256 graphs"))
 
-    chain_bad = []
-    for n, m in ((2, 1), (2, 2), (3, 1)):
-        spec = MultisetSpec.regular(n, m)
-        for pat in ("12", "21"):
-            q = Word.parse(pat)
-            gq = pattern_graph(q)
-            census = census_avoiding_graphs(n, m, q)
-            fiber_total = sum(fiber_size(G, spec) for G in _graphs_on(n, n)
-                              if not ordered_contains(G, gq))
-            if census > fiber_total:
-                chain_bad.append((n, m, pat, census, fiber_total))
-    checks.append(Check("census-fiber-inequality", not chain_bad,
-                        "census <= avoiding-fiber mass at (2,1), (2,2), (3,1)"))
+    # the census walk against an all-masks scan judged by all-injections
+    # containment, independent of both the walk and its kernel
+    exh_bad, exh_cases = [], 0
+    patterns = [(q, pattern_graph(q)) for q in map(Word.parse, SMALL_PATTERNS)]
+    for n, m in ((1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 1)):
+        avoiders = Counter()
+        for G in _graphs_on(n * m, n):
+            avoiders.update(q for q, gq in patterns
+                            if not ordered_contains_bruteforce(G, gq))
+        for q, _ in patterns:
+            exh_cases += 1
+            if census_avoiding_graphs(n, m, q) != avoiders[q]:
+                exh_bad.append((n, m, str(q)))
+    checks.append(Check("census-exhaustive", not exh_bad,
+                        f"{exh_cases} censuses: every pattern of length <= 3 "
+                        "on (1,1), (1,2), (2,1), (2,2), (2,3), (3,1) vs an "
+                        "all-masks scan with all-injections containment" +
+                        (f", wrong: {exh_bad}" if exh_bad else "")))
 
-    sandwich_bad = []
-    for n, m in ((2, 1), (2, 2), (3, 1)):
-        for pat in ("12", "21"):
-            q = Word.parse(pat)
-            words_count = count_multiset_avoiders(
-                MultisetSpec.regular(n, m), q).count
-            census = census_avoiding_graphs(n, m, q)
-            if words_count > census:
-                sandwich_bad.append((n, m, pat))
+    # a graph on ([L],[2]) avoids 12 iff no right-2 edge lies below a
+    # right-1 edge.  Fix the first left vertex k with a right-1 edge, or
+    # none: every left vertex then has exactly one free edge (to right 2
+    # up to k, to right 1 after it), so each of the L + 1 choices gives
+    # 2^L graphs
+    form_bad = [(m, pat) for m in range(1, 7) for pat in ("12", "21")
+                if census_avoiding_graphs(2, m, Word.parse(pat))
+                != (2 * m + 1) * 4 ** m]
+    checks.append(Check("census-closed-form", not form_bad,
+                        "12 and 21 on (2,m) give (2m+1) 4^m for m <= 6" +
+                        (f", wrong: {form_bad}" if form_bad else "")))
+
+    chain_sizes = ((2, 1), (2, 2), (3, 1), (2, 3), (2, 4), (3, 2))
+    censuses = {(n, m, pat): census_avoiding_graphs(n, m, Word.parse(pat))
+                for n, m in chain_sizes for pat in ("12", "21")}
+    chain_bad = []
+    for (n, m, pat), census in censuses.items():
+        spec = MultisetSpec.regular(n, m)
+        gq = pattern_graph(Word.parse(pat))
+        fiber_total = sum(fiber_size(G, spec) for G in _graphs_on(n, n)
+                          if not ordered_contains(G, gq))
+        if census > fiber_total:
+            chain_bad.append((n, m, pat, census, fiber_total))
+    checks.append(Check("census-fiber-inequality", not chain_bad,
+                        "census <= avoiding-fiber mass at (2,1), (2,2), "
+                        "(3,1), (2,3), (2,4), (3,2)"))
+
+    sandwich_bad = [
+        (n, m, pat) for (n, m, pat), census in censuses.items()
+        if count_multiset_avoiders(MultisetSpec.regular(n, m),
+                                   Word.parse(pat)).count > census]
     checks.append(Check("word-census-sandwich", not sandwich_bad,
-                        "avoiding words never outnumber avoiding graphs"))
+                        "avoiding words never outnumber avoiding graphs "
+                        "at the same six sizes"))
 
     b1 = bounds(1, 1, 1)
     b2 = bounds(1, 2, 1)

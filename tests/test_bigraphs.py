@@ -195,6 +195,11 @@ class TestCensus:
                        if not matrix_contains(adjacency(g), gq))
             assert census_avoiding_graphs(n, m, W(pat)) == slow
 
+    def test_pattern_longer_than_n_fits_nowhere(self):
+        # 2^24 graphs, all avoiding, counted without walking them
+        assert census_avoiding_graphs(2, 6, W("123")) == 2 ** 24
+        assert census_avoiding_graphs(1, 3, W("21")) == 2 ** 3
+
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceeded):
             census_avoiding_graphs(3, 3, W("12"))

@@ -185,7 +185,7 @@ class TestExtremalCommand:
 
 class TestVerifyCommand:
     def test_suite_passes(self, capsys):
-        code, out, _ = run(capsys, "verify", "--suite", "proof-chain")
+        code, out, _ = run(capsys, "verify", "--suite", "catalan")
         assert code == 0
         assert "checks passed" in out
 

@@ -10,9 +10,9 @@ class TestRunSuite:
             run_suite("nonsense")
 
     def test_single_suite_names_are_prefixed(self):
-        manifest = run_suite("proof-chain", seed=3)
+        manifest = run_suite("catalan", seed=3)
         assert manifest.ok
-        assert all(c.name.startswith("proof-chain:") for c in manifest.checks)
+        assert all(c.name.startswith("catalan:") for c in manifest.checks)
         assert manifest.seed == 3
 
     def test_failed_certificate_fails_the_suite(self, monkeypatch):
@@ -46,10 +46,10 @@ class TestRunSuite:
         assert alone == grouped
 
     def test_manifest_shape(self):
-        manifest = run_suite("proof-chain", seed=1)
+        manifest = run_suite("catalan", seed=1)
         blob = manifest.as_dict()
         assert blob["command"] == "verify"
-        assert blob["parameters"] == {"suite": "proof-chain"}
+        assert blob["parameters"] == {"suite": "catalan"}
         assert blob["ok"] is True
         assert blob["summary"].endswith("checks passed")
         assert {"name", "passed", "detail"} == set(blob["checks"][0])

