@@ -9,11 +9,12 @@ when the forbidden pattern is an ordinary permutation, and each
 contracted edge over a block of size m is the image of exactly 2^m - 1
 edge sets.
 
-Ordered containment has one kernel, `_rows_contain`, over one
-right-neighbour bitmask per left vertex.  `ordered_contains` builds those
-rows from an edge set; the census of avoiding graphs keeps one mutable
-list of rows while it walks the down-set of avoiding edge sets, setting
-and clearing one bit per extension.
+Ordered containment runs the kernel that also decides word containment,
+`words._rows_contain`, over one right-neighbour bitmask per left vertex.
+`ordered_contains` builds those rows from an edge set; the census of
+avoiding graphs keeps one mutable list of rows while it walks the
+down-set of avoiding edge sets, setting and clearing one bit per
+extension.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from itertools import combinations
 
 from .errors import BudgetExceeded, ParseError
 from .matrices import BinaryMatrix
-from .words import MultisetSpec, Word, validate_word
+from .words import MultisetSpec, Word, _rows_contain, validate_word
 
 
 @dataclass(frozen=True)
@@ -110,12 +111,13 @@ def ordered_contains(P: BipartiteGraph, Q: BipartiteGraph) -> bool:
     Looks for order-preserving injections of Q's left and right classes
     into P's mapping every edge of Q onto an edge of P (extra edges of P
     are irrelevant).  P is read as one right-neighbour bitmask per left
-    vertex, and the search is `_rows_contain`.
+    vertex, and the search is `words._rows_contain`.
     """
     rows = [0] * P.left_size
     for i, j in P.edges:
         rows[i - 1] |= 1 << (j - 1)
-    return _rows_contain(rows, P.right_size, _neighbour_lists(Q), Q.right_size)
+    return _rows_contain(rows, P.right_size, _neighbour_lists(Q),
+                         Q.right_size) is not None
 
 
 def _neighbour_lists(Q: BipartiteGraph) -> tuple[tuple[int, ...], ...]:
@@ -124,68 +126,6 @@ def _neighbour_lists(Q: BipartiteGraph) -> tuple[tuple[int, ...], ...]:
     for v, w in Q.edges:
         nbrs[v - 1].append(w - 1)
     return tuple(tuple(sorted(ws)) for ws in nbrs)
-
-
-def _rows_contain(rows: list[int], pb: int,
-                  nbrs: tuple[tuple[int, ...], ...], qb: int) -> bool:
-    """Ordered containment of Q in P.  P is one right-neighbour bitmask
-    per left vertex (bit j of rows[u] is the edge (u+1, j+1)) on pb right
-    vertices; Q is the ascending 0-indexed right neighbours of each left
-    vertex (`_neighbour_lists`) on qb right vertices.
-
-    Backtracks over Q's left vertices in order.  Right images are pinned
-    lazily: a pinned right vertex is one bit test, and an unpinned one
-    takes its candidates from the set bits of the row inside a window that
-    leaves room for the right vertices between it and its nearest pinned
-    neighbours (or the ends) on either side.
-    """
-    pn, qn = len(rows), len(nbrs)
-    if qn > pn or qb > pb:
-        return False
-    img = [-1] * qb
-    slack = pb - qb
-
-    def place(v: int, min_u: int) -> bool:
-        if v == qn:
-            return True
-        ws = nbrs[v]
-        for u in range(min_u, pn - qn + v + 1):
-            if bind(rows[u], ws, 0, v, u):
-                return True
-        return False
-
-    def bind(row: int, ws: tuple[int, ...], idx: int, v: int, u: int) -> bool:
-        if idx == len(ws):
-            return place(v + 1, u + 1)
-        w = ws[idx]
-        pinned = img[w]
-        if pinned >= 0:
-            return bool(row >> pinned & 1) and bind(row, ws, idx + 1, v, u)
-        lo, k = w, w - 1
-        while k >= 0:
-            if img[k] >= 0:
-                lo = img[k] + w - k
-                break
-            k -= 1
-        hi, k = slack + w, w + 1
-        while k < qb:
-            if img[k] >= 0:
-                hi = img[k] - k + w
-                break
-            k += 1
-        if hi < lo:
-            return False
-        cands = row >> lo & ((2 << (hi - lo)) - 1)
-        while cands:
-            low = cands & -cands
-            img[w] = lo + low.bit_length() - 1
-            if bind(row, ws, idx + 1, v, u):
-                return True
-            cands ^= low
-        img[w] = -1
-        return False
-
-    return place(0, 0)
 
 
 def ordered_contains_bruteforce(P: BipartiteGraph, Q: BipartiteGraph) -> bool:
@@ -251,8 +191,7 @@ def fiber_size(Gp: BipartiteGraph, spec: MultisetSpec) -> int:
 DEFAULT_CENSUS_CELLS = 24
 
 
-def census_avoiding_graphs(n: int, m: int, pattern: Word, *,
-                           max_cells: int = DEFAULT_CENSUS_CELLS) -> int:
+def census_avoiding_graphs(n: int, m: int, pattern: Word) -> int:
     """Count bipartite graphs on ([n*m],[n]) avoiding the pattern's graph.
 
     Adding an edge never destroys an occurrence, so the avoiding edge sets
@@ -269,9 +208,9 @@ def census_avoiding_graphs(n: int, m: int, pattern: Word, *,
     if not pattern.is_permutation:
         raise ValueError("census pattern must be an ordinary permutation")
     cells = n * m * n
-    if cells > max_cells:
-        raise BudgetExceeded(
-            f"census over 2^{cells} graphs exceeds the guard of 2^{max_cells}")
+    if cells > DEFAULT_CENSUS_CELLS:
+        raise BudgetExceeded(f"census over 2^{cells} graphs exceeds the "
+                             f"guard of 2^{DEFAULT_CENSUS_CELLS}")
     if pattern.length > n:
         return 1 << cells
     nbrs = _neighbour_lists(pattern_graph(pattern))
@@ -282,7 +221,7 @@ def census_avoiding_graphs(n: int, m: int, pattern: Word, *,
         for bit in range(start, cells):
             u, j = divmod(bit, n)
             rows[u] |= 1 << j
-            if not _rows_contain(rows, n, nbrs, pattern.length):
+            if _rows_contain(rows, n, nbrs, pattern.length) is None:
                 found += 1 + walk(bit + 1)
             rows[u] ^= 1 << j
         return found

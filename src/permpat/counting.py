@@ -198,9 +198,9 @@ class _Engine:
         self.unpinned = (-1,) * nranks
 
     def successors(self, avail: tuple[int, ...],
-                   embeddings: frozenset) -> list[tuple[int, tuple]]:
-        """(j, state) for each available value a_j whose appending completes
-        no occurrence, in increasing j."""
+                   embeddings: frozenset) -> list[tuple[tuple, frozenset]]:
+        """The state after each available value a_j whose appending
+        completes no occurrence, in increasing j."""
         steps, k = self.steps, len(self.steps)
         m = len(avail)
         letters = sum(avail) - 1
@@ -254,19 +254,19 @@ class _Engine:
                        for a, b, free in gaps):
                     continue
                 live.append((t, pins))
-            out.append((j, (after, frozenset(live))))
+            out.append((after, frozenset(live)))
         return out
 
-    def count(self, avail: tuple[int, ...],
-              embeddings: frozenset = frozenset()) -> int:
-        """Avoiding completions of one state; each layer maps a state to
-        the number of prefixes that reach it."""
+    def count(self, avail: tuple[int, ...]) -> int:
+        """Avoiding arrangements of the multiset with multiplicities
+        avail; each layer maps a state to the number of prefixes that
+        reach it."""
         successors = self.successors
-        layer = {(avail, embeddings): 1}
+        layer = {(avail, frozenset()): 1}
         for _ in range(sum(avail)):
             nxt: dict = {}
             for state, ways in layer.items():
-                for _, after in successors(*state):
+                for after in successors(*state):
                     nxt[after] = nxt.get(after, 0) + ways
             layer = nxt
         return sum(layer.values())
@@ -279,8 +279,7 @@ def _engine(pattern: tuple[int, ...]) -> _Engine:
 
 
 def count_multiset_avoiders(spec: MultisetSpec, pattern: Word, *,
-                            workers: int = 1,
-                            max_total: int = DEFAULT_MAX_TOTAL) -> CountRecord:
+                            workers: int = 1) -> CountRecord:
     """Exact number of arrangements of the multiset avoiding the pattern.
 
     The count runs in this process.  `workers` is validated (it must be at
@@ -291,15 +290,14 @@ def count_multiset_avoiders(spec: MultisetSpec, pattern: Word, *,
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     total = total_words(spec)
-    if total > max_total:
-        raise BudgetExceeded(
-            f"{total} arrangements exceed the counting budget of {max_total}")
+    if total > DEFAULT_MAX_TOTAL:
+        raise BudgetExceeded(f"{total} arrangements exceed the counting "
+                             f"budget of {DEFAULT_MAX_TOTAL}")
     count = _engine(pattern.entries).count(spec.multiplicities)
     return CountRecord(spec=spec, pattern=pattern, count=count, total=total)
 
 
-def count_avoiders(n: int, pattern: Word, *, workers: int = 1,
-                   max_total: int = DEFAULT_MAX_TOTAL) -> CountRecord:
+def count_avoiders(n: int, pattern: Word, *, workers: int = 1) -> CountRecord:
     """Exact number of permutations of {1..n} avoiding an ordinary pattern.
 
     `workers` is validated but selects nothing, as in
@@ -311,7 +309,7 @@ def count_avoiders(n: int, pattern: Word, *, workers: int = 1,
         raise ValueError(
             "pattern has repeated values; use count_multiset_avoiders")
     return count_multiset_avoiders(MultisetSpec.unit(n), pattern,
-                                   workers=workers, max_total=max_total)
+                                   workers=workers)
 
 
 def count_multiset_avoiders_bruteforce(spec: MultisetSpec, pattern: Word) -> int:
@@ -325,14 +323,12 @@ def count_avoiders_bruteforce(n: int, pattern: Word) -> int:
     return count_multiset_avoiders_bruteforce(MultisetSpec.unit(n), pattern)
 
 
-def sequence(pattern: Word, n_max: int, m: int = 1, *,
-             max_total: int = DEFAULT_MAX_TOTAL) -> list[CountRecord]:
+def sequence(pattern: Word, n_max: int, m: int = 1) -> list[CountRecord]:
     """Tabulate avoider counts on [n]_m for n = 1..n_max, each computed
     independently."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    return [count_multiset_avoiders(MultisetSpec.regular(n, m), pattern,
-                                    max_total=max_total)
+    return [count_multiset_avoiders(MultisetSpec.regular(n, m), pattern)
             for n in range(1, n_max + 1)]
 
 

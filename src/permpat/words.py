@@ -5,6 +5,11 @@ values has no gaps; permutations are the words without repeated values,
 and multiset permutations are words with prescribed value multiplicities.
 Containment of a pattern means some subsequence matches it
 order-isomorphically, with equal pattern letters matching equal values.
+
+That relation is ordered containment of the position/value incidence
+graphs (one edge (i, w_i) per position), so one kernel, `_rows_contain`
+over one right-neighbour bitmask per left vertex, decides it here and
+decides graph containment in `bigraphs`.
 """
 from __future__ import annotations
 
@@ -166,51 +171,85 @@ def _ranks(pattern: Sequence[int]) -> tuple[tuple[int, ...], int]:
     return tuple(order[v] for v in pattern), len(order)
 
 
-def _embed(word: Sequence[int], pattern: Sequence[int]) -> tuple[int, ...] | None:
-    """0-based positions of one occurrence of pattern in word, or None.
+def _rows_contain(rows: list[int], pb: int,
+                  nbrs: tuple[tuple[int, ...], ...],
+                  qb: int) -> list[int] | None:
+    """Ordered containment of Q in P: the 0-based images of Q's left
+    vertices, or None.  P is one right-neighbour bitmask per left vertex
+    (bit j of rows[u] is the edge (u+1, j+1)) on pb right vertices; Q is
+    the ascending 0-indexed right neighbours of each left vertex on qb
+    right vertices.
 
-    Backtracks over pattern positions left to right.  Each distinct pattern
-    value gets pinned to one word value; candidates for an unpinned value
-    must fall strictly between the nearest pinned smaller and larger values
-    (the value window), which also keeps pinned values distinct.
+    Backtracks over Q's left vertices in order, each over P's left
+    vertices in increasing order.  Right images are pinned lazily: a pinned
+    right vertex is one bit test, and an unpinned one takes its candidates
+    from the set bits of the row inside a window that leaves room for the
+    right vertices between it and its nearest pinned neighbours (or the
+    ends) on either side.  The list of left images is made only once the
+    search has succeeded, and filled in as it returns, so a failed search
+    pays nothing for it.
     """
-    ranks, nranks = _ranks(pattern)
-    k, n = len(pattern), len(word)
-    if k > n:
+    pn, qn = len(rows), len(nbrs)
+    if qn > pn or qb > pb:
         return None
-    pinned: list[int | None] = [None] * nranks
-    chosen: list[int] = []
+    img = [-1] * qb
+    slack = pb - qb
 
-    def search(t: int, start: int) -> bool:
-        if t == k:
-            return True
-        r = ranks[t]
-        fixed = pinned[r]
-        for i in range(start, n - (k - t) + 1):
-            v = word[i]
-            if fixed is not None:
-                if v != fixed:
-                    continue
-                chosen.append(i)
-                if search(t + 1, i + 1):
-                    return True
-                chosen.pop()
-            else:
-                lo = next((pinned[s] for s in range(r - 1, -1, -1)
-                           if pinned[s] is not None), 0)
-                hi = next((pinned[s] for s in range(r + 1, nranks)
-                           if pinned[s] is not None), None)
-                if v <= lo or (hi is not None and v >= hi):
-                    continue
-                pinned[r] = v
-                chosen.append(i)
-                if search(t + 1, i + 1):
-                    return True
-                chosen.pop()
-                pinned[r] = None
-        return False
+    def place(v: int, min_u: int) -> list[int] | None:
+        if v == qn:
+            return [-1] * qn
+        ws = nbrs[v]
+        for u in range(min_u, pn - qn + v + 1):
+            if left := bind(rows[u], ws, 0, v, u):
+                left[v] = u
+                return left
+        return None
 
-    return tuple(chosen) if search(0, 0) else None
+    def bind(row: int, ws: tuple[int, ...], idx: int, v: int,
+             u: int) -> list[int] | None:
+        if idx == len(ws):
+            return place(v + 1, u + 1)
+        w = ws[idx]
+        pinned = img[w]
+        if pinned >= 0:
+            return bind(row, ws, idx + 1, v, u) if row >> pinned & 1 else None
+        lo, k = w, w - 1
+        while k >= 0:
+            if img[k] >= 0:
+                lo = img[k] + w - k
+                break
+            k -= 1
+        hi, k = slack + w, w + 1
+        while k < qb:
+            if img[k] >= 0:
+                hi = img[k] - k + w
+                break
+            k += 1
+        if hi < lo:
+            return None
+        cands = row >> lo & ((2 << (hi - lo)) - 1)
+        while cands:
+            low = cands & -cands
+            img[w] = lo + low.bit_length() - 1
+            if left := bind(row, ws, idx + 1, v, u):
+                return left
+            cands ^= low
+        img[w] = -1
+        return None
+
+    return place(0, 0)
+
+
+def _occurrence(word: Word, pattern: Word) -> list[int] | None:
+    """0-based positions of the lexicographically smallest occurrence, found
+    by `_rows_contain` on the two position/value incidence graphs: a pinned
+    right vertex forces equal pattern letters onto equal values.  Each row
+    has one bit, so the positions fix the values and the search meets the
+    occurrences in lexicographic order."""
+    return _rows_contain([1 << (v - 1) for v in word.entries],
+                         word.max_value,
+                         tuple((v - 1,) for v in pattern.entries),
+                         pattern.max_value)
 
 
 def contains(word: Word, pattern: Word) -> bool:
@@ -219,12 +258,13 @@ def contains(word: Word, pattern: Word) -> bool:
     Equal pattern letters must be represented by equal word values at
     distinct positions; e.g. 1214324 contains 122 (via 1,4,4) but not 211.
     """
-    return _embed(word.entries, pattern.entries) is not None
+    return _occurrence(word, pattern) is not None
 
 
 def find_occurrence(word: Word, pattern: Word) -> tuple[int, ...] | None:
-    """1-indexed positions of one occurrence of pattern in word, or None."""
-    hit = _embed(word.entries, pattern.entries)
+    """1-indexed positions of the lexicographically smallest occurrence of
+    pattern in word, or None."""
+    hit = _occurrence(word, pattern)
     if hit is None:
         return None
     return tuple(i + 1 for i in hit)

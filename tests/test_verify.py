@@ -1,6 +1,6 @@
 import pytest
 
-from permpat import matrices
+from permpat import matrices, verify
 from permpat.verify import SUITES, run_suite
 
 
@@ -16,15 +16,25 @@ class TestRunSuite:
         assert manifest.seed == 3
 
     def test_failed_certificate_fails_the_suite(self, monkeypatch):
-        # an extremal engine that misses every occurrence trips the witness
-        # certificate; the run reports a failed check instead of raising
-        monkeypatch.setattr(matrices._RowEngine, "blocked",
-                            lambda self, state: 0)
-        manifest = run_suite("matrix")
-        assert not manifest.ok
-        failed = [c for c in manifest.checks if not c.passed]
-        assert [c.name for c in failed] == ["matrix:internal-checks"]
-        assert "invalid witness" in failed[0].detail
+        # a fault inside a suite is reported as one failed check instead of
+        # ending the run: an extremal engine that misses every occurrence
+        # trips the witness certificate (ArithmeticError), and a census
+        # walk that never bottoms out raises RecursionError
+        def endless_walk(*args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        faults = [("matrix", matrices._RowEngine, "blocked",
+                   lambda self, state: 0, "invalid witness"),
+                  ("proof-chain", verify, "census_avoiding_graphs",
+                   endless_walk, "RecursionError")]
+        for suite, owner, name, fault, detail in faults:
+            with monkeypatch.context() as patch:
+                patch.setattr(owner, name, fault)
+                manifest = run_suite(suite)
+            assert not manifest.ok
+            failed = [c for c in manifest.checks if not c.passed]
+            assert [c.name for c in failed] == [f"{suite}:internal-checks"]
+            assert detail in failed[0].detail
 
     def test_deterministic_given_seed(self):
         a = run_suite("core", seed=99).as_dict()

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -101,6 +103,13 @@ class TestContains:
     @given(_words(), _words(max_len=4))
     def test_agrees_with_bruteforce(self, w, q):
         assert contains(w, q) == contains_bruteforce(w, q)
+        # the witness is the lexicographically smallest occurrence
+        target = canonical_form(q.entries)
+        first = next((pos for pos in combinations(range(1, w.length + 1),
+                                                  q.length)
+                      if canonical_form([w.entries[i - 1] for i in pos])
+                      == target), None)
+        assert find_occurrence(w, q) == first
 
     @given(_words(max_len=7), _words(max_len=3), st.integers(1, 7))
     def test_append_monotone(self, w, q, extra):
