@@ -24,7 +24,7 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import BudgetExceeded, ParseError
+from .errors import BudgetExceeded
 from .matrices import BinaryMatrix
 from .words import MultisetSpec, Word, _rows_contain, validate_word
 
@@ -55,20 +55,6 @@ class BipartiteGraph:
                 edges.append((i + 1, j + 1))
         return cls(left_size, right_size, frozenset(edges))
 
-    @classmethod
-    def parse(cls, text: str) -> "BipartiteGraph":
-        """First line 'a b', then one 'i j' edge per line, 1-indexed."""
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ParseError("empty graph text")
-        try:
-            a, b = (int(x) for x in lines[0].split())
-            edges = frozenset((int(i), int(j))
-                              for i, j in (ln.split() for ln in lines[1:]))
-            return cls(a, b, edges)
-        except ValueError as exc:
-            raise ParseError(f"bad graph text: {exc}") from None
-
     def to_mask(self) -> int:
         mask = 0
         for i, j in self.edges:
@@ -83,13 +69,6 @@ class BipartiteGraph:
         lines = [f"{self.left_size} {self.right_size}"]
         lines += [f"{i} {j}" for i, j in self.sorted_edges]
         return "\n".join(lines)
-
-    def as_dict(self) -> dict:
-        return {
-            "left_size": self.left_size,
-            "right_size": self.right_size,
-            "edges": [list(e) for e in self.sorted_edges],
-        }
 
 
 def graph_of_word(word: Word, spec: MultisetSpec) -> BipartiteGraph:

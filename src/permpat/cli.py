@@ -3,8 +3,8 @@
 Subcommands wrap the library operations and the verification suites.
 Exit codes are stable: 0 success (or "contains"), 1 negative result
 ("avoids", failed checks), 2 input error, 3 refusal: a budget or size
-guard, or an internal check that failed (ArithmeticError) so that no
-answer can be trusted.
+guard, an internal check that failed (ArithmeticError) or any other
+internal error, so that no answer can be trusted.
 """
 from __future__ import annotations
 
@@ -200,6 +200,11 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        # a crash is no answer: it must not exit 1, the code for "avoids"
+        print(f"refused: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_REFUSED
 
 
 def entry() -> None:

@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceeded
-from .words import MultisetSpec, Word, _ranks, contains_bruteforce
+from .words import MultisetSpec, Word, canonical_form, contains_bruteforce
 
 # Upper bound on the number of arrangements an exact count may range over.
 DEFAULT_MAX_TOTAL = 10_000_000
@@ -37,8 +37,10 @@ class CountRecord:
     total: int
 
     def __post_init__(self):
+        # the engine produced the count, so a bad one is an internal fault
         if not 0 <= self.count <= self.total:
-            raise ValueError(f"count {self.count} outside 0..{self.total}")
+            raise ArithmeticError(
+                f"count {self.count} outside 0..{self.total}")
 
     @property
     def n(self) -> int:
@@ -166,8 +168,8 @@ class _Engine:
     """Layer-by-layer count of the arrangements avoiding one pattern."""
 
     def __init__(self, pattern: Sequence[int]):
-        ranks, nranks = _ranks(pattern)
-        k = len(ranks)
+        ranks = tuple(r - 1 for r in canonical_form(pattern))  # 0-based
+        k, nranks = len(ranks), max(ranks) + 1
         top, bottom = nranks, -1
 
         def window(t: int, r: int) -> tuple[int, int]:

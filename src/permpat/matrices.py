@@ -521,22 +521,32 @@ class ExtremalRecord:
 # to twice as long).  The largest admitted sizes take about 4.5 s (2x2,
 # n = 100), 4.5 s (3x3, n = 10, patterns 213 and 312), 5 s (4x4, n = 7,
 # 2413 and 3142) and 0.2 s (5x5, n = 6); the first refused ones about 4.5 s,
-# 13.5 s, 80 s and 15 s (51423).  2x2 time grows only about as n^3, so its
-# cap bounds one search, not the table up to it (which takes about 25 times
-# the last search).  A 1x1 pattern needs no search and takes the fallback cap.
+# 13.5 s, 80 s and 15 s (51423).  A 1x1 pattern needs no search and takes
+# the fallback cap.
 _SIDE_LIMIT = {2: 100, 3: 10, 4: 7}
 _FALLBACK_LIMIT = 6
 
+# A table runs one search per n.  2x2 time grows only about as n^3, so the
+# 2x2 table to n = 100 costs about 25 times its last search; it is capped
+# where the whole table costs about one search at the side cap (same VM, a
+# busy host: the table to 42 took 5.7 s, to 43 6.3 s and to 44 6.8 s,
+# against 6.8-7.1 s for n = 100 alone).  Tables of larger sides cost little
+# more than their last search and keep the side caps.
+_TABLE_LIMIT = {2: 42}
 
-def _check_request(n: int, pattern: BinaryMatrix, max_n: int | None) -> None:
+
+def _check_request(n: int, pattern: BinaryMatrix, max_n: int | None, *,
+                   table: bool = False) -> None:
     """Refuse a pattern or a size before any search starts."""
     if not pattern.is_permutation_matrix:
         raise ValueError("pattern must be a permutation matrix")
-    cap = _SIDE_LIMIT.get(pattern.rows, _FALLBACK_LIMIT) if max_n is None else max_n
+    limits = {**_SIDE_LIMIT, **_TABLE_LIMIT} if table else _SIDE_LIMIT
+    cap = limits.get(pattern.rows, _FALLBACK_LIMIT) if max_n is None else max_n
     if n > cap:
         raise BudgetExceeded(
-            f"exact extremal search limited to n <= {cap} for a "
-            f"{pattern.rows}x{pattern.cols} pattern (asked n = {n})")
+            f"exact extremal {'table' if table else 'search'} limited to "
+            f"n <= {cap} for a {pattern.rows}x{pattern.cols} pattern "
+            f"(asked n = {n})")
 
 
 def extremal_f(n: int, pattern: BinaryMatrix, *,
@@ -576,10 +586,10 @@ def extremal_f(n: int, pattern: BinaryMatrix, *,
 def extremal_table(pattern: BinaryMatrix, n_max: int, *,
                    max_n: int | None = None) -> list[ExtremalRecord]:
     """extremal_f for every n = 1..n_max; refuses up front when n_max
-    exceeds the size guard."""
+    exceeds the table guard."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    _check_request(n_max, pattern, max_n)
+    _check_request(n_max, pattern, max_n, table=True)
     return [extremal_f(n, pattern, max_n=max_n) for n in range(1, n_max + 1)]
 
 

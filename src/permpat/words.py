@@ -165,12 +165,6 @@ def complement(word: Word) -> Word:
     return Word(tuple(top - v for v in word.entries))
 
 
-def _ranks(pattern: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """0-based dense ranks of a pattern plus the number of distinct values."""
-    order = {v: i for i, v in enumerate(sorted(set(pattern)))}
-    return tuple(order[v] for v in pattern), len(order)
-
-
 def _rows_contain(rows: list[int], pb: int,
                   nbrs: tuple[tuple[int, ...], ...],
                   qb: int) -> list[int] | None:

@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import permpat
-from permpat import matrices
+from permpat import cli, counting, matrices
 from permpat.cli import main
+from permpat.words import MultisetSpec
 
 
 def run(capsys, *argv):
@@ -58,6 +59,18 @@ class TestContainsCommand:
         code, _, err = run(capsys, "contains", "--word", "13",
                            "--pattern", "12")
         assert code == 2
+
+    def test_internal_crash_is_a_refusal(self, capsys, monkeypatch):
+        # an unexpected exception must exit 3, not 1 (the "avoids" code)
+        def crash(*args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "find_occurrence", crash)
+        code, out, err = run(capsys, "contains", "--word", "23718465",
+                             "--pattern", "312")
+        assert code == 3 and out == ""
+        assert err.startswith("refused: internal error: RecursionError: ")
+        assert "Traceback" not in err
 
 
 class TestCountCommand:
@@ -113,6 +126,15 @@ class TestCountCommand:
         assert code == 3
         assert "refused" in err
 
+    def test_count_out_of_range_is_a_refusal(self, capsys, monkeypatch):
+        # a count past the total is an engine fault, not an input error
+        monkeypatch.setattr(
+            counting._Engine, "count",
+            lambda self, avail: counting.total_words(MultisetSpec(avail)) + 1)
+        code, out, err = run(capsys, "count", "--pattern", "123", "--n", "3")
+        assert code == 3 and out == ""
+        assert err.startswith("refused: internal check failed: count 7 ")
+
 
 class TestExtremalCommand:
     def test_table(self, capsys, tmp_path):
@@ -152,6 +174,19 @@ class TestExtremalCommand:
         code, _, err = run(capsys, "extremal", "--matrix-file", str(path),
                            "--n-max", "101")
         assert code == 3
+
+    def test_table_guard(self, capsys, tmp_path, monkeypatch):
+        # the first refused 2x2 table is refused before any search starts
+        searched = []
+        monkeypatch.setattr(matrices, "extremal_f",
+                            lambda *args, **kwargs: searched.append(args))
+        path = tmp_path / "id2.txt"
+        path.write_text("10\n01\n")
+        code, out, err = run(capsys, "extremal", "--matrix-file", str(path),
+                             "--n-max", "43")
+        assert code == 3 and out == "" and searched == []
+        assert err.startswith("refused: exact extremal table limited to "
+                              "n <= 42")
 
     def test_failed_certificate_is_a_refusal(self, capsys, tmp_path,
                                              monkeypatch):

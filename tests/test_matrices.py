@@ -152,6 +152,11 @@ class TestExtremal:
             extremal_table(IDENTITY2, 101)
         with pytest.raises(BudgetExceeded):
             extremal_table(perm_to_matrix(W("123")), 11)
+        # a 2x2 table runs one search per n, so it has its own, lower cap
+        with pytest.raises(BudgetExceeded, match="table limited to n <= 42"):
+            extremal_table(IDENTITY2, 43)
+        with pytest.raises(BudgetExceeded, match="table limited to n <= 42"):
+            dq_estimate(perm_to_matrix(W("21")), 43)
 
     def test_invalid_witness_is_refused(self, monkeypatch):
         # an occurrence test that never fires fills the grid with 1s; the

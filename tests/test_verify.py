@@ -1,6 +1,7 @@
 import pytest
 
 from permpat import matrices, verify
+from permpat.counting import catalan
 from permpat.verify import SUITES, run_suite
 
 
@@ -35,6 +36,18 @@ class TestRunSuite:
             failed = [c for c in manifest.checks if not c.passed]
             assert [c.name for c in failed] == [f"{suite}:internal-checks"]
             assert detail in failed[0].detail
+
+    def test_failed_check_names_its_inputs(self, monkeypatch):
+        # a Catalan number one too high at n = 5 fails every 3-pattern
+        # there, and only the check that compares with it
+        monkeypatch.setattr(verify, "catalan",
+                            lambda n: catalan(n) + (n == 5))
+        manifest = run_suite("catalan")
+        failed = [c for c in manifest.checks if not c.passed]
+        assert [c.name for c in failed] == ["catalan:catalan-agreement"]
+        assert failed[0].detail == (
+            "6 patterns, n = 1..8; 6 failed, first: [('123', 5), "
+            "('132', 5), ('213', 5), ('231', 5), ('312', 5)]")
 
     def test_deterministic_given_seed(self):
         a = run_suite("core", seed=99).as_dict()
