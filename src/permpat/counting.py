@@ -76,11 +76,27 @@ def catalan(n: int) -> int:
 
 
 def total_words(spec: MultisetSpec) -> int:
-    """Multinomial count of all arrangements: length! / (m_1! * ... * m_n!)."""
-    value = math.factorial(spec.length)
+    """Multinomial count of all arrangements: length! / (m_1! * ... * m_n!),
+    formed as a product of binomials, none larger than the result."""
+    value, placed = 1, 0
     for m in spec.multiplicities:
-        value //= math.factorial(m)
+        placed += m
+        value *= math.comb(placed, m)
     return value
+
+
+def _budgeted_total(spec: MultisetSpec) -> int:
+    """total_words(spec), or a refusal judged from logarithms before it is
+    formed, with a margin so lgamma's rounding never refuses a fit total."""
+    top = math.lgamma(spec.length + 1)
+    log_total = top - math.fsum(math.lgamma(m + 1)
+                                for m in spec.multiplicities)
+    if (log_total > math.log(DEFAULT_MAX_TOTAL) + 1e-9 * (1 + top)
+            or (total := total_words(spec)) > DEFAULT_MAX_TOTAL):
+        raise BudgetExceeded(
+            f"about 10^{log_total / math.log(10):.1f} arrangements exceed "
+            f"the counting budget of {DEFAULT_MAX_TOTAL}")
+    return total
 
 
 def stirling_count(n: int, m: int) -> int:
@@ -291,10 +307,7 @@ def count_multiset_avoiders(spec: MultisetSpec, pattern: Word, *,
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    total = total_words(spec)
-    if total > DEFAULT_MAX_TOTAL:
-        raise BudgetExceeded(f"{total} arrangements exceed the counting "
-                             f"budget of {DEFAULT_MAX_TOTAL}")
+    total = _budgeted_total(spec)
     count = _engine(pattern.entries).count(spec.multiplicities)
     return CountRecord(spec=spec, pattern=pattern, count=count, total=total)
 
@@ -327,9 +340,10 @@ def count_avoiders_bruteforce(n: int, pattern: Word) -> int:
 
 def sequence(pattern: Word, n_max: int, m: int = 1) -> list[CountRecord]:
     """Tabulate avoider counts on [n]_m for n = 1..n_max, each computed
-    independently."""
+    independently, once the budget has passed at n_max, the largest total."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
+    _budgeted_total(MultisetSpec.regular(n_max, m))
     return [count_multiset_avoiders(MultisetSpec.regular(n, m), pattern)
             for n in range(1, n_max + 1)]
 

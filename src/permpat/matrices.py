@@ -535,8 +535,8 @@ _FALLBACK_LIMIT = 6
 _TABLE_LIMIT = {2: 42}
 
 
-def _check_request(n: int, pattern: BinaryMatrix, max_n: int | None, *,
-                   table: bool = False) -> None:
+def _check_request(n: int, pattern: BinaryMatrix,
+                   max_n: int | None = None, *, table: bool = False) -> None:
     """Refuse a pattern or a size before any search starts."""
     if not pattern.is_permutation_matrix:
         raise ValueError("pattern must be a permutation matrix")
@@ -583,21 +583,19 @@ def extremal_f(n: int, pattern: BinaryMatrix, *,
                           transitions=engine.transitions)
 
 
-def extremal_table(pattern: BinaryMatrix, n_max: int, *,
-                   max_n: int | None = None) -> list[ExtremalRecord]:
+def extremal_table(pattern: BinaryMatrix, n_max: int) -> list[ExtremalRecord]:
     """extremal_f for every n = 1..n_max; refuses up front when n_max
     exceeds the table guard."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    _check_request(n_max, pattern, max_n, table=True)
-    return [extremal_f(n, pattern, max_n=max_n) for n in range(1, n_max + 1)]
+    _check_request(n_max, pattern, table=True)
+    return [extremal_f(n, pattern) for n in range(1, n_max + 1)]
 
 
-def dq_estimate(pattern: BinaryMatrix, n_max: int, *,
-                max_n: int | None = None) -> Fraction:
+def dq_estimate(pattern: BinaryMatrix, n_max: int) -> Fraction:
     """max f(n, pattern)/n over n = 1..n_max.
 
     A finite lower witness for any valid linear-bound slope; no finite
     computation can pin the true constant.
     """
-    return max(rec.slope for rec in extremal_table(pattern, n_max, max_n=max_n))
+    return max(rec.slope for rec in extremal_table(pattern, n_max))

@@ -15,7 +15,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Iterator
 
 from .bigraphs import (BipartiteGraph, adjacency, bounds,
@@ -30,7 +30,7 @@ from .matrices import (BinaryMatrix, extremal_f, extremal_table, dq_estimate,
                        reverse_rows)
 from .words import (MultisetSpec, Word, canonical_form, canonicalize,
                     complement, contained_patterns, contains,
-                    contains_bruteforce, reverse)
+                    contains_bruteforce, find_occurrence, reverse)
 
 DEFAULT_SEED = 0
 
@@ -167,19 +167,26 @@ def _suite_core(rng: random.Random) -> Iterator[Check]:
 
     idem_bad = []
     for _ in range(200):
-        once = canonicalize(_random_word(rng, 10))
-        if canonicalize(once) != once:
-            idem_bad.append(str(once))
+        w = _random_word(rng, 10)  # already canonical
+        if not canonicalize(canonicalize(w)) == canonicalize(w) == w:
+            idem_bad.append(str(w))
     yield _check("canonical-idempotence", idem_bad, "200 random words")
 
+    # the witness `contains` prints is the lexicographically first one
     brute_bad = []
     for _ in range(300):
         w = _random_word(rng, 8)
         q = _random_word(rng, 4)
-        if contains(w, q) != contains_bruteforce(w, q):
+        first = next((pos for pos in combinations(range(1, w.length + 1),
+                                                  q.length)
+                      if canonical_form([w.entries[i - 1] for i in pos])
+                      == q.entries), None)
+        if (contains(w, q) != contains_bruteforce(w, q)
+                or find_occurrence(w, q) != first):
             brute_bad.append((str(w), str(q)))
     yield _check("bruteforce-agreement", brute_bad,
-                 "300 random pairs vs all-subsequences check")
+                 "300 random pairs vs all-subsequences check, "
+                 "witness included")
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +291,7 @@ def _suite_stirling(rng: random.Random) -> Iterator[Check]:
     yield _check("multiset-212-agreement", bad, "n = 1..4, m = 1..3")
 
     prod_bad = []
-    for n in range(1, 9):
+    for n in range(1, 10):
         for m in range(1, 5):
             prod = 1
             for i in range(n):
@@ -292,7 +299,7 @@ def _suite_stirling(rng: random.Random) -> Iterator[Check]:
             if stirling_count(n, m) != prod:
                 prod_bad.append((n, m))
     yield _check("rational-product-identity", prod_bad,
-                 "closed form equals prod(m*i+1), n <= 8, m <= 4")
+                 "closed form equals prod(m*i+1), n <= 9, m <= 4")
 
     roots = [stirling_count(n, 2) ** (1 / (2 * n)) for n in range(2, 9)]
     yield _check("super-exponential-growth",
@@ -398,9 +405,10 @@ def _suite_matrix(rng: random.Random) -> Iterator[Check]:
 
     records = extremal_table(identity2, 5)
     yield _check("identity-extremal-line",
-                 [(rec.n, rec.value) for rec in records
-                  if rec.value != 2 * rec.n - 1],
-                 "f(n) = 2n-1 for n = 1..5")
+                 [(rec.n, rec.value, str(rec.slope)) for rec in records
+                  if rec.value != 2 * rec.n - 1
+                  or rec.slope != Fraction(2 * rec.n - 1, rec.n)],
+                 "f(n) = 2n-1 and slope (2n-1)/n for n = 1..5")
 
     yield _check("extremal-monotonicity",
                  [rec.n for rec, nxt in zip(records, records[1:])

@@ -1,4 +1,3 @@
-from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -114,11 +113,6 @@ class TestExtremal:
         # frozen from the exhaustive sweep over all 16 binary 2x2 matrices
         assert extremal_f(2, IDENTITY2).value == 3
 
-    def test_identity_line(self):
-        for rec in extremal_table(IDENTITY2, 5):
-            assert rec.value == 2 * rec.n - 1
-            assert rec.slope == Fraction(2 * rec.n - 1, rec.n)
-
     def test_cross_witness_attains_bound(self):
         # first row plus first column avoids the increasing pair
         for n in range(1, 6):
@@ -127,11 +121,6 @@ class TestExtremal:
                 for r in range(n)))
             assert avoids(cross, IDENTITY2)
             assert cross.ones == 2 * n - 1
-
-    def test_three_pattern_search(self):
-        rec = extremal_f(3, perm_to_matrix(W("312")))
-        assert rec.witness.ones == rec.value
-        assert avoids(rec.witness, rec.pattern)
 
     def test_size_guard(self):
         with pytest.raises(BudgetExceeded):

@@ -11,9 +11,9 @@ class TestRunSuite:
             run_suite("nonsense")
 
     def test_single_suite_names_are_prefixed(self):
-        manifest = run_suite("catalan", seed=3)
+        manifest = run_suite("core", seed=3)
         assert manifest.ok
-        assert all(c.name.startswith("catalan:") for c in manifest.checks)
+        assert all(c.name.startswith("core:") for c in manifest.checks)
         assert manifest.seed == 3
 
     def test_failed_certificate_fails_the_suite(self, monkeypatch):
@@ -69,10 +69,10 @@ class TestRunSuite:
         assert alone == grouped
 
     def test_manifest_shape(self):
-        manifest = run_suite("catalan", seed=1)
+        manifest = run_suite("core", seed=1)
         blob = manifest.as_dict()
         assert blob["command"] == "verify"
-        assert blob["parameters"] == {"suite": "catalan"}
+        assert blob["parameters"] == {"suite": "core"}
         assert blob["ok"] is True
         assert blob["summary"].endswith("checks passed")
         assert {"name", "passed", "detail"} == set(blob["checks"][0])
