@@ -24,9 +24,9 @@ from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import BudgetExceeded
+from .errors import BudgetExceeded, ParseError
 from .matrices import BinaryMatrix
-from .words import MultisetSpec, Word, _rows_contain, validate_word
+from .words import MultisetSpec, Word, _rows_contain
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,10 @@ class BipartiteGraph:
     def __post_init__(self):
         object.__setattr__(self, "edges", frozenset(self.edges))
         if self.left_size < 1 or self.right_size < 1:
-            raise ValueError("vertex classes must be nonempty")
+            raise ParseError("vertex classes must be nonempty")
         for i, j in self.edges:
             if not (1 <= i <= self.left_size and 1 <= j <= self.right_size):
-                raise ValueError(f"edge ({i},{j}) out of range")
+                raise ParseError(f"edge ({i},{j}) out of range")
 
     @classmethod
     def from_mask(cls, left_size: int, right_size: int, mask: int) -> "BipartiteGraph":
@@ -73,8 +73,8 @@ class BipartiteGraph:
 
 def graph_of_word(word: Word, spec: MultisetSpec) -> BipartiteGraph:
     """The position/value incidence graph on ([length],[n])."""
-    if not validate_word(word, spec):
-        raise ValueError(f"{word} is not an arrangement of multiset ({spec})")
+    if MultisetSpec.from_word(word) != spec:
+        raise ParseError(f"{word} is not an arrangement of multiset ({spec})")
     edges = frozenset((i, v) for i, v in enumerate(word.entries, start=1))
     return BipartiteGraph(spec.length, spec.n, edges)
 
@@ -138,7 +138,7 @@ def contract(G: BipartiteGraph, spec: MultisetSpec) -> BipartiteGraph:
     """Merge consecutive left blocks of sizes m_1..m_n to one vertex each,
     keeping an edge (i, j) when any member of block i had an edge to j."""
     if G.left_size != spec.length:
-        raise ValueError(
+        raise ParseError(
             f"graph has {G.left_size} left vertices, spec covers {spec.length}")
     block_of = [i for i, m in enumerate(spec.multiplicities, start=1)
                 for _ in range(m)]
@@ -153,7 +153,7 @@ def fiber_size(Gp: BipartiteGraph, spec: MultisetSpec) -> int:
     block-i-to-j edges (2^{m_i} - 1 choices); non-edges force emptiness.
     """
     if Gp.left_size != spec.n:
-        raise ValueError(
+        raise ParseError(
             f"graph has {Gp.left_size} left vertices, spec contracts to {spec.n}")
     mults = spec.multiplicities
     out = 1
@@ -183,9 +183,9 @@ def census_avoiding_graphs(n: int, m: int, pattern: Word) -> int:
     so all 2^(n*m*n) graphs avoid it.
     """
     if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
+        raise ParseError("n and m must be >= 1")
     if not pattern.is_permutation:
-        raise ValueError("census pattern must be an ordinary permutation")
+        raise ParseError("census pattern must be an ordinary permutation")
     cells = n * m * n
     if cells > DEFAULT_CENSUS_CELLS:
         raise BudgetExceeded(f"census over 2^{cells} graphs exceeds the "
@@ -295,10 +295,10 @@ def bounds(n: int, m: int, d) -> BoundRecord:
     """Evaluate 15^(2dn) for balanced avoiding graphs, ((2^m-1)*15^2)^(dn)
     for the multiset side, and the per-symbol constant (2*15^2)^d = 450^d."""
     if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
+        raise ParseError("n and m must be >= 1")
     d = Fraction(d)
     if d < 0:
-        raise ValueError("slope d must be >= 0")
+        raise ParseError("slope d must be >= 0")
     dn = d * n
     _guard_digits("klazar_bound", math.log10(15), 2 * dn)
     # log10(2^m - 1) = m log10(2) + log10(1 - 2^-m); clamping m keeps the

@@ -2,9 +2,10 @@
 
 Subcommands wrap the library operations and the verification suites.
 Exit codes are stable: 0 success (or "contains"), 1 negative result
-("avoids", failed checks), 2 input error, 3 refusal: a budget or size
-guard, an internal check that failed (ArithmeticError) or any other
-internal error, so that no answer can be trusted.
+("avoids", failed checks), 2 input error (a ParseError, or an argparse
+usage error), 3 refusal: a budget or size guard, an internal check that
+failed (ArithmeticError) or any other internal error, so that no answer
+can be trusted.  The exception type alone decides the class.
 """
 from __future__ import annotations
 
@@ -60,7 +61,7 @@ def _cmd_count(args) -> int:
 def _cmd_extremal(args) -> int:
     try:
         text = Path(args.matrix_file).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read --matrix-file: {exc}") from None
     pattern = BinaryMatrix.parse(text)
     records = extremal_table(pattern, args.n_max)
@@ -197,9 +198,6 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"refused: internal check failed: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except Exception as exc:
         # a crash is no answer: it must not exit 1, the code for "avoids"
         print(f"refused: internal error: {type(exc).__name__}: {exc}",

@@ -2,7 +2,8 @@
 
 
 class ParseError(ValueError):
-    """Malformed textual input (word, matrix or graph)."""
+    """Input permpat refuses: malformed text, or an argument outside the
+    domain of the operation it is passed to."""
 
 
 class BudgetExceeded(RuntimeError):

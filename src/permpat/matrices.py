@@ -31,12 +31,12 @@ class BinaryMatrix:
         cells = tuple(tuple(row) for row in self.cells)
         object.__setattr__(self, "cells", cells)
         if not cells or not cells[0]:
-            raise ValueError("matrix dimensions must be >= 1")
+            raise ParseError("matrix dimensions must be >= 1")
         width = len(cells[0])
         if any(len(row) != width for row in cells):
-            raise ValueError("rows must all have the same length")
+            raise ParseError("rows must all have the same length")
         if any(cell not in (0, 1) for row in cells for cell in row):
-            raise ValueError("entries must be 0 or 1")
+            raise ParseError("entries must be 0 or 1")
 
     @classmethod
     def parse(cls, text: str) -> "BinaryMatrix":
@@ -51,10 +51,7 @@ class BinaryMatrix:
             rows.append(tuple(int(ch) for ch in line))
         if not rows:
             raise ParseError("empty matrix")
-        try:
-            return cls(tuple(rows))
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
+        return cls(tuple(rows))
 
     @property
     def rows(self) -> int:
@@ -93,7 +90,7 @@ def reverse_cols(M: BinaryMatrix) -> BinaryMatrix:
 def perm_to_matrix(p: Word) -> BinaryMatrix:
     """The permutation matrix with a 1 at (row p(i), column i)."""
     if not p.is_permutation:
-        raise ValueError("word has repeated values; not a permutation")
+        raise ParseError("word has repeated values; not a permutation")
     n = p.length
     cells = [[0] * n for _ in range(n)]
     for i, v in enumerate(p.entries):
@@ -539,7 +536,7 @@ def _check_request(n: int, pattern: BinaryMatrix,
                    max_n: int | None = None, *, table: bool = False) -> None:
     """Refuse a pattern or a size before any search starts."""
     if not pattern.is_permutation_matrix:
-        raise ValueError("pattern must be a permutation matrix")
+        raise ParseError("pattern must be a permutation matrix")
     limits = {**_SIDE_LIMIT, **_TABLE_LIMIT} if table else _SIDE_LIMIT
     cap = limits.get(pattern.rows, _FALLBACK_LIMIT) if max_n is None else max_n
     if n > cap:
@@ -567,13 +564,14 @@ def extremal_f(n: int, pattern: BinaryMatrix, *,
     memoized (row, state) entries and the successors built.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise ParseError("n must be >= 1")
     _check_request(n, pattern, max_n)
 
     engine = _RowEngine(n, pattern.cells)
     value = engine.value(0, ())
     grid = engine.witness()
-    if (len(grid) != n or sum(map(sum, grid)) != value
+    if (len(grid) != n or any(len(row) != n for row in grid)
+            or sum(map(sum, grid)) != value
             or _cells_contains(grid, pattern.cells)):
         raise ArithmeticError(
             f"extremal search produced an invalid witness for n = {n}")
@@ -587,7 +585,7 @@ def extremal_table(pattern: BinaryMatrix, n_max: int) -> list[ExtremalRecord]:
     """extremal_f for every n = 1..n_max; refuses up front when n_max
     exceeds the table guard."""
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise ParseError("n_max must be >= 1")
     _check_request(n_max, pattern, table=True)
     return [extremal_f(n, pattern) for n in range(1, n_max + 1)]
 

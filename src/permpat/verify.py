@@ -22,9 +22,10 @@ from .bigraphs import (BipartiteGraph, adjacency, bounds,
                        census_avoiding_graphs, contract, fiber_size,
                        graph_of_matrix, graph_of_word, ordered_contains,
                        ordered_contains_bruteforce, pattern_graph)
-from .counting import (catalan, count_avoiders, count_avoiders_bruteforce,
-                       count_multiset_avoiders, iter_words, sequence,
-                       stirling_approx, stirling_count, total_words)
+from .counting import (catalan, count_avoiders, count_multiset_avoiders,
+                       count_multiset_avoiders_bruteforce, iter_words,
+                       sequence, stirling_approx, stirling_count, total_words)
+from .errors import ParseError
 from .matrices import (BinaryMatrix, extremal_f, extremal_table, dq_estimate,
                        matrix_contains, perm_to_matrix, reverse_cols,
                        reverse_rows)
@@ -204,8 +205,9 @@ def _suite_catalan(rng: random.Random) -> Iterator[Check]:
 
     a = count_avoiders(6, Word.parse("1234")).count
     b = count_avoiders(6, Word.parse("1342")).count
-    a_ref = count_avoiders_bruteforce(6, Word.parse("1234"))
-    b_ref = count_avoiders_bruteforce(6, Word.parse("1342"))
+    s6 = MultisetSpec.unit(6)
+    a_ref = count_multiset_avoiders_bruteforce(s6, Word.parse("1234"))
+    b_ref = count_multiset_avoiders_bruteforce(s6, Word.parse("1342"))
     split_bad = [(pat, got, ref) for pat, got, ref
                  in (("1234", a, a_ref), ("1342", b, b_ref)) if got != ref]
     if a == b:
@@ -714,7 +716,7 @@ def run_suite(suite: str, seed: int = DEFAULT_SEED) -> RunManifest:
     """Run one suite (or 'all'); each suite gets its own rng seeded from
     (seed, suite name) so results do not depend on execution order."""
     if suite != "all" and suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; "
+        raise ParseError(f"unknown suite {suite!r}; "
                          f"choose from {', '.join([*SUITES, 'all'])}")
     names = list(SUITES) if suite == "all" else [suite]
     manifest = RunManifest(command="verify",

@@ -30,14 +30,14 @@ class Word:
         entries = tuple(self.entries)
         object.__setattr__(self, "entries", entries)
         if not entries:
-            raise ValueError("a word needs at least one entry")
+            raise ParseError("a word needs at least one entry")
         if any(not isinstance(v, int) or v < 1 for v in entries):
-            raise ValueError("word entries must be integers >= 1")
+            raise ParseError("word entries must be integers >= 1")
         values = set(entries)
         top = max(values)
         if len(values) != top:
             missing = sorted(set(range(1, top + 1)) - values)
-            raise ValueError(f"word value set has gaps: missing {missing}")
+            raise ParseError(f"word value set has gaps: missing {missing}")
 
     @classmethod
     def parse(cls, text: str) -> "Word":
@@ -47,17 +47,20 @@ class Word:
             raise ParseError("empty word")
         if "," in text:
             parts = [p.strip() for p in text.split(",")]
-            if any(not p.isdigit() for p in parts):
+            if any(not p.isdecimal() for p in parts):
                 raise ParseError(f"not a comma-separated word: {text!r}")
-            values = tuple(int(p) for p in parts)
-        elif text.isdigit():
+            # no entry of a gap-free word exceeds its length, so a longer
+            # one is refused before int() meets a long digit string
+            digits = [p.lstrip("0") or "0" for p in parts]
+            if any(len(d) > len(str(len(parts))) for d in digits):
+                raise ParseError(
+                    f"an entry exceeds the word length {len(parts)}")
+            values = tuple(int(d) for d in digits)
+        elif text.isdecimal():
             values = tuple(int(ch) for ch in text)
         else:
             raise ParseError(f"not a word: {text!r}")
-        try:
-            return cls(values)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
+        return cls(values)
 
     @property
     def length(self) -> int:
@@ -93,9 +96,9 @@ class MultisetSpec:
         mults = tuple(self.multiplicities)
         object.__setattr__(self, "multiplicities", mults)
         if not mults:
-            raise ValueError("a multiset spec needs n >= 1 values")
+            raise ParseError("a multiset spec needs n >= 1 values")
         if any(not isinstance(m, int) or m < 1 for m in mults):
-            raise ValueError("multiplicities must be integers >= 1")
+            raise ParseError("multiplicities must be integers >= 1")
 
     @classmethod
     def regular(cls, n: int, m: int) -> "MultisetSpec":
@@ -128,16 +131,6 @@ class MultisetSpec:
 
     def __str__(self) -> str:
         return ",".join(str(m) for m in self.multiplicities)
-
-
-def validate_word(word: Word, spec: MultisetSpec) -> bool:
-    """True iff value i occurs exactly spec.multiplicities[i-1] times."""
-    counts = [0] * spec.n
-    for v in word.entries:
-        if v > spec.n:
-            return False
-        counts[v - 1] += 1
-    return tuple(counts) == spec.multiplicities
 
 
 def canonical_form(seq: Sequence[int]) -> tuple[int, ...]:
@@ -280,6 +273,6 @@ def contains_bruteforce(word: Word, pattern: Word) -> bool:
 def contained_patterns(word: Word, k: int) -> set[Word]:
     """All canonical patterns of length k contained in word."""
     if not 1 <= k <= word.length:
-        raise ValueError(f"k must be in 1..{word.length}, got {k}")
+        raise ParseError(f"k must be in 1..{word.length}, got {k}")
     return {Word(form) for form in
             {canonical_form(sub) for sub in set(combinations(word.entries, k))}}

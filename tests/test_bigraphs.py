@@ -7,7 +7,7 @@ from permpat.bigraphs import (MAX_BOUND_DIGITS, BipartiteGraph, Power,
                               adjacency, bounds, census_avoiding_graphs,
                               contract, fiber_size, graph_of_word,
                               ordered_contains, pattern_graph)
-from permpat.errors import BudgetExceeded
+from permpat.errors import BudgetExceeded, ParseError
 from permpat.words import MultisetSpec, Word
 
 W = Word.parse
@@ -24,9 +24,9 @@ def random_graph(rng, a, b):
 
 class TestBipartiteGraph:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             BipartiteGraph(0, 1, frozenset())
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             BipartiteGraph(2, 2, frozenset({(3, 1)}))
 
     def test_mask_roundtrip(self):
@@ -60,8 +60,10 @@ class TestGraphOfWord:
         assert sorted(i for i, _ in g.edges) == list(range(1, 9))
 
     def test_rejects_mismatched_spec(self):
-        with pytest.raises(ValueError):
-            graph_of_word(W("1212"), MultisetSpec((2, 1)))
+        # G1212 and G111 above are built on their own multisets
+        for text, mults in (("1212", (2, 1)), ("112", (2, 2)), ("11", (2, 1))):
+            with pytest.raises(ParseError):
+                graph_of_word(W(text), MultisetSpec(mults))
 
 
 class TestOrderedContains:
@@ -117,7 +119,7 @@ class TestContract:
         assert contract(g, S22).edges == frozenset()
 
     def test_size_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             contract(G111, S22)
 
     def test_irregular_blocks_contract(self):
@@ -140,7 +142,7 @@ class TestFibers:
         assert fiber_size(g, spec) == 3 * 7
 
     def test_size_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             fiber_size(G1212, S22)
 
 
@@ -158,7 +160,7 @@ class TestCensus:
             census_avoiding_graphs(3, 3, W("12"))
 
     def test_rejects_multiset_pattern(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             census_avoiding_graphs(2, 1, W("212"))
 
 
@@ -189,7 +191,7 @@ class TestBounds:
             bounds(n + 1, 2, 1)
 
     def test_rejects_negative_slope(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             bounds(1, 1, -1)
 
     def test_power_float(self):

@@ -31,6 +31,87 @@ def test_import_loads_no_pool_machinery():
     assert done.stdout.strip() == "False"
 
 
+# stderr is empty on exit 0 or 1, starts "input error: " on exit 2 ("usage: "
+# when argparse exits 2) and "refused: " on exit 3; {dir} holds MATRICES.
+MATRICES = {"id2.txt": "10\n01\n", "bad.txt": "10\nxx\n",
+            "not-perm.txt": "11\n01\n", "latin-1.txt": "\xff\n"}
+EXTREMAL = "extremal --matrix-file {dir}/"
+EXIT_TABLE = [  # (argv, exit code, stdout, stderr fragment)
+    ("contains --word 1214324 --pattern 211", 1, "avoids\n", "", "avoids"),
+    ("contains --word 1 --pattern 12", 1, "avoids\n", "", "trivial_avoid"),
+    ("contains --word 1a2 --pattern 12", 2, "", "not a word: '1a2'",
+     "parse_error"),
+    ("contains --word 13 --pattern 12", 2, "", "gaps: missing [2]",
+     "gap_rejected"),
+    # int() refuses these with a plain ValueError, which would exit 3
+    ("contains --word \u00b2 --pattern 1", 2, "", "not a word",
+     "superscript_digit"),
+    (f"contains --word 1,{'9' * 5000} --pattern 1", 2, "",
+     "an entry exceeds the word length 2", "entry_past_int_digit_limit"),
+    ("count --pattern 12", 2, "",
+     "one of the arguments --n --n-max is required", "missing_n"),
+    ("count --pattern 12 --n 3 --n-max 2", 2, "", "not allowed with argument",
+     "n_and_n_max_exclusive"),
+    ("count --pattern 12 --n 0", 2, "", "n >= 1 values", "count_n_0"),
+    ("count --pattern 12 --n 2 --m 0", 2, "", "integers >= 1", "count_m_0"),
+    ("count --pattern 12 --n-max 0", 2, "", "n_max must", "n_max_0"),
+    # 1600! has more than 4,300 digits and 100000! more than 450,000; both
+    # are refused from logarithms, before the total is formed
+    *((f"count --pattern 12 --n {n}", 3, "", "exceed the counting budget",
+       f"budget_refusal_{n}") for n in (12, 1600, 100000)),
+    # one value: a single arrangement, but one counting layer per letter
+    ("count --pattern 12 --n 1 --m 30000000", 3, "",
+     "30000000 letters exceed the counting cap of 100000 layers",
+     "layer_cap"),
+    ("count --pattern 12 --n 1 --m 100000", 0,
+     "n,m,pattern,count,total,growth\n1,100000,12,1,1,1.0\n", "",
+     "layer_cap_largest_admitted"),
+    (EXTREMAL + "id2.txt --n-max 101", 3, "", "n <= 42", "size_guard"),
+    (EXTREMAL + "bad.txt --n-max 2", 2, "", "over '0'/'1'", "bad_matrix"),
+    (EXTREMAL + "missing.txt --n-max 2", 2, "",
+     "input error: cannot read --matrix-file", "unreadable_matrix_file"),
+    ("extremal --matrix-file {dir} --n-max 2", 2, "",
+     "input error: cannot read --matrix-file", "matrix_file_is_a_directory"),
+    (EXTREMAL + "latin-1.txt --n-max 2", 2, "", "can't decode byte 0xff",
+     "matrix_file_not_utf8"),
+    (EXTREMAL + "not-perm.txt --n-max 2", 2, "",
+     "must be a permutation matrix", "extremal_not_permutation"),
+    (EXTREMAL + "id2.txt --n-max 0", 2, "", "n_max must", "extremal_n_max_0"),
+    ("verify --suite nonsense", 2, "", "invalid choice: 'nonsense'",
+     "unknown_suite_exits_2"),
+    ("census --pattern 12 --n 2 --m 2 --workers 2", 2, "",
+     "unrecognized arguments: --workers", "census_has_no_workers_option"),
+    ("census --pattern 12 --n 3 --m 3", 3, "", "exceeds the guard",
+     "census_budget"),
+    ("census --pattern 12 --n 0 --m 1", 2, "", "n and m must", "census_n_0"),
+    ("census --pattern 11 --n 2 --m 1", 2, "", "ordinary permutation",
+     "census_repeated_letter"),
+    ("bounds --n 1000000 --m 2 --d 1", 3, "", "digits", "bounds_digit_guard"),
+    ("bounds --n 1 --m 1 --d x", 2, "", "not a rational slope: 'x'",
+     "bounds_bad_slope"),
+    ("bounds --n 0 --m 1 --d 1", 2, "", "n and m must be >= 1", "bounds_n_0"),
+    ("bounds --n 1 --m 1 --d -1", 2, "", "slope d must be >= 0",
+     "bounds_negative_slope"),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout, fragment",
+                         [pytest.param(*row[:4], id=row[4])
+                          for row in EXIT_TABLE])
+def test_exit_code(capsys, tmp_path, argv, code, stdout, fragment):
+    for name, text in MATRICES.items():
+        (tmp_path / name).write_text(text, encoding="latin-1")
+    try:
+        got = main([arg.format(dir=tmp_path) for arg in argv.split()])
+        prefix = {2: "input error: ", 3: "refused: "}.get(got, "")
+    except SystemExit as exc:
+        got, prefix = exc.code, "usage: "
+    out, err = capsys.readouterr()
+    assert (got, out) == (code, stdout)
+    assert err.startswith(prefix) and fragment in err
+    assert bool(err) == (code >= 2)
+
+
 class TestContainsCommand:
     def test_contains_with_witness(self, capsys):
         code, out, _ = run(capsys, "contains", "--word", "23718465",
@@ -38,27 +119,6 @@ class TestContainsCommand:
         assert code == 0
         assert out.splitlines()[0] == "contains"
         assert "positions 3,4,6" in out and "values 7,1,4" in out
-
-    def test_avoids(self, capsys):
-        code, out, _ = run(capsys, "contains", "--word", "1214324",
-                           "--pattern", "211")
-        assert code == 1
-        assert out.strip() == "avoids"
-
-    def test_trivial_avoid(self, capsys):
-        code, out, _ = run(capsys, "contains", "--word", "1", "--pattern", "12")
-        assert code == 1
-
-    def test_parse_error(self, capsys):
-        code, _, err = run(capsys, "contains", "--word", "1a2",
-                           "--pattern", "12")
-        assert code == 2
-        assert "input error" in err
-
-    def test_gap_rejected(self, capsys):
-        code, _, err = run(capsys, "contains", "--word", "13",
-                           "--pattern", "12")
-        assert code == 2
 
     def test_internal_crash_is_a_refusal(self, capsys, monkeypatch):
         # an unexpected exception must exit 3, not 1 (the "avoids" code)
@@ -71,6 +131,17 @@ class TestContainsCommand:
         assert code == 3 and out == ""
         assert err.startswith("refused: internal error: RecursionError: ")
         assert "Traceback" not in err
+
+    def test_value_error_is_a_refusal(self, capsys, monkeypatch):
+        # a ValueError no input check raised is a fault, not an input error
+        def fault(*args):
+            raise ValueError("negative shift count")
+
+        monkeypatch.setattr(cli, "find_occurrence", fault)
+        code, out, err = run(capsys, "contains", "--word", "23718465",
+                             "--pattern", "312")
+        assert code == 3 and out == ""
+        assert err.startswith("refused: internal error: ValueError: ")
 
 
 class TestCountCommand:
@@ -103,31 +174,6 @@ class TestCountCommand:
         code, out, _ = run(capsys, "count", "--pattern", "12", "--n-max", "3")
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [r["count"] for r in rows] == ["1", "1", "1"]
-
-    def test_missing_n(self, capsys):
-        # argparse refuses the call before any count starts
-        with pytest.raises(SystemExit) as exc:
-            main(["count", "--pattern", "12"])
-        assert exc.value.code == 2
-        assert "one of the arguments --n --n-max is required" in (
-            capsys.readouterr().err)
-
-    def test_n_and_n_max_exclusive(self, capsys):
-        # an input error, not a table that silently ignores --n
-        with pytest.raises(SystemExit) as exc:
-            main(["count", "--pattern", "12", "--n", "3", "--n-max", "2"])
-        assert exc.value.code == 2
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert "not allowed with argument" in out.err
-
-    def test_budget_refusal(self, capsys):
-        # 1600! has more than 4,300 digits and 100000! more than 450,000;
-        # both are refused from logarithms, before the total is formed
-        for n in ("12", "1600", "100000"):
-            code, out, err = run(capsys, "count", "--pattern", "12", "--n", n)
-            assert code == 3 and out == ""
-            assert err.startswith("refused: ")
 
     def test_count_out_of_range_is_a_refusal(self, capsys, monkeypatch):
         # a count past the total is an engine fault, not an input error
@@ -171,13 +217,6 @@ class TestExtremalCommand:
         assert last["states"] == 183
         assert 0 < last["transitions"] <= 183 * 15
 
-    def test_size_guard(self, capsys, tmp_path):
-        path = tmp_path / "id2.txt"
-        path.write_text("10\n01\n")
-        code, _, err = run(capsys, "extremal", "--matrix-file", str(path),
-                           "--n-max", "101")
-        assert code == 3
-
     def test_table_guard(self, capsys, tmp_path, monkeypatch):
         # the first refused 2x2 table is refused before any search starts
         searched = []
@@ -205,21 +244,6 @@ class TestExtremalCommand:
         assert err.startswith("refused: internal check failed: ")
         assert "Traceback" not in err
 
-    def test_bad_matrix(self, capsys, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("10\nxx\n")
-        code, _, err = run(capsys, "extremal", "--matrix-file", str(path),
-                           "--n-max", "2")
-        assert code == 2
-
-    def test_unreadable_matrix_file(self, capsys, tmp_path):
-        # an input error (exit 2), not a traceback with exit 1 ("avoids")
-        for path in (tmp_path / "missing.txt", tmp_path):
-            code, out, err = run(capsys, "extremal", "--matrix-file",
-                                 str(path), "--n-max", "2")
-            assert code == 2 and out == ""
-            assert err.startswith("input error: cannot read --matrix-file")
-
 
 class TestVerifyCommand:
     def test_suite_passes(self, capsys):
@@ -228,11 +252,6 @@ class TestVerifyCommand:
         lines = out.splitlines()
         assert lines[0] == "[ok] core:example-containments: 9 fixed cases"
         assert lines[-1].endswith("checks passed")
-
-    def test_unknown_suite_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--suite", "nonsense"])
-        assert exc.value.code == 2
 
     def test_manifest_json_reproducible(self, capsys):
         args = ("verify", "--suite", "core", "--seed", "42",
@@ -252,18 +271,6 @@ class TestOtherCommands:
                            "--m", "2")
         assert code == 0
         assert out.strip() == "80"
-
-    def test_census_has_no_workers_option(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["census", "--pattern", "12", "--n", "2", "--m", "2",
-                  "--workers", "2"])
-        assert exc.value.code == 2
-        assert "--workers" in capsys.readouterr().err
-
-    def test_census_budget(self, capsys):
-        code, _, err = run(capsys, "census", "--pattern", "12", "--n", "3",
-                           "--m", "3")
-        assert code == 3
 
     def test_bounds(self, capsys):
         code, out, _ = run(capsys, "bounds", "--n", "1", "--m", "2",
@@ -306,17 +313,6 @@ class TestOtherCommands:
             value = value * 10 ** len(chunk) + int(chunk)
         assert value == (2 ** 20000 - 1) * 225
         assert blob["multiset_bound"]["value"] == "1"
-
-    def test_bounds_digit_guard(self, capsys):
-        code, out, err = run(capsys, "bounds", "--n", "1000000", "--m", "2",
-                             "--d", "1")
-        assert code == 3 and out == ""
-        assert "digits" in err
-
-    def test_bounds_bad_slope(self, capsys):
-        code, _, err = run(capsys, "bounds", "--n", "1", "--m", "1",
-                           "--d", "x")
-        assert code == 2
 
     def test_counterexample_report(self, capsys):
         code, out, _ = run(capsys, "counterexample")

@@ -11,7 +11,7 @@ from permpat.counting import (CountRecord, catalan, count_avoiders,
                               count_multiset_avoiders, iter_words,
                               records_to_csv, records_to_json, sequence,
                               stirling_approx, stirling_count, total_words)
-from permpat.errors import BudgetExceeded
+from permpat.errors import BudgetExceeded, ParseError
 from permpat.words import MultisetSpec, Word
 
 W = Word.parse
@@ -28,7 +28,7 @@ class TestCatalan:
             assert catalan(n) == math.comb(2 * n, n) // (n + 1)
 
     def test_negative(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             catalan(-1)
 
 
@@ -37,7 +37,7 @@ class TestCountAvoiders:
         assert count_avoiders(4, W("123")).count == 14
 
     def test_rejects_multiset_pattern(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             count_avoiders(3, W("212"))
 
     def test_large_count_starts_no_pool(self, monkeypatch):
@@ -51,9 +51,9 @@ class TestCountAvoiders:
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_invalid_workers(self, workers):
         spec = MultisetSpec.regular(2, 2)
-        with pytest.raises(ValueError, match="workers"):
+        with pytest.raises(ParseError, match="workers"):
             count_multiset_avoiders(spec, W("12"), workers=workers)
-        with pytest.raises(ValueError, match="workers"):
+        with pytest.raises(ParseError, match="workers"):
             count_avoiders(3, W("12"), workers=workers)
 
 

@@ -32,11 +32,11 @@ def no_search(monkeypatch):
 
 class TestBinaryMatrix:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             BinaryMatrix(())
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             BinaryMatrix(((0, 1), (1,)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             BinaryMatrix(((0, 2),))
 
     def test_parse_and_str(self):
@@ -74,7 +74,7 @@ class TestPermToMatrix:
         assert M.row_strings() == ["010", "001", "100"]
 
     def test_rejects_repeats(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             perm_to_matrix(W("1212"))
 
 
@@ -155,8 +155,21 @@ class TestExtremal:
         with pytest.raises(ArithmeticError, match="invalid witness"):
             extremal_f(3, IDENTITY2)
 
+    def test_ragged_witness_is_refused(self, monkeypatch):
+        # a witness row with an extra 0 keeps the count and avoids the
+        # pattern; it is an engine fault, not a ParseError from BinaryMatrix
+        witness = matrices._RowEngine.witness
+
+        def ragged(self):
+            grid = witness(self)
+            return grid[:-1] + (grid[-1] + (0,),)
+
+        monkeypatch.setattr(matrices._RowEngine, "witness", ragged)
+        with pytest.raises(ArithmeticError, match="invalid witness"):
+            extremal_f(3, IDENTITY2)
+
     def test_rejects_non_permutation_pattern(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             extremal_f(2, BinaryMatrix(((1, 1), (0, 1))))
 
     def test_deterministic_witness(self):

@@ -2,12 +2,13 @@ import pytest
 
 from permpat import matrices, verify
 from permpat.counting import catalan
+from permpat.errors import ParseError
 from permpat.verify import SUITES, run_suite
 
 
 class TestRunSuite:
     def test_unknown_suite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             run_suite("nonsense")
 
     def test_single_suite_names_are_prefixed(self):
