@@ -72,16 +72,16 @@ class BipartiteGraph:
 
 
 def graph_of_word(word: Word, spec: MultisetSpec) -> BipartiteGraph:
-    """The position/value incidence graph on ([length],[n])."""
+    """pattern_graph of a word checked to be an arrangement of spec."""
     if MultisetSpec.from_word(word) != spec:
         raise ParseError(f"{word} is not an arrangement of multiset ({spec})")
-    edges = frozenset((i, v) for i, v in enumerate(word.entries, start=1))
-    return BipartiteGraph(spec.length, spec.n, edges)
+    return pattern_graph(word)
 
 
 def pattern_graph(pattern: Word) -> BipartiteGraph:
-    """graph_of_word over the pattern's own multiset."""
-    return graph_of_word(pattern, MultisetSpec.from_word(pattern))
+    """The position/value incidence graph of a word over its own multiset."""
+    edges = frozenset((i, v) for i, v in enumerate(pattern.entries, start=1))
+    return BipartiteGraph(pattern.length, pattern.max_value, edges)
 
 
 def ordered_contains(P: BipartiteGraph, Q: BipartiteGraph) -> bool:
