@@ -73,6 +73,18 @@ class TestMultisetSpec:
             MultisetSpec((1, 0))
 
 
+class TestValidateWord:
+    # a word is a permutation of spec exactly when from_word(word) == spec,
+    # the comparison graph_of_word makes
+    def test_examples(self):
+        assert MultisetSpec.from_word(W("1212")) == MultisetSpec((2, 2))
+        assert MultisetSpec.from_word(W("111")) == MultisetSpec((3,))
+        assert MultisetSpec.from_word(W("112")) != MultisetSpec((2, 2))
+
+    def test_wrong_n(self):
+        assert MultisetSpec.from_word(W("11")) != MultisetSpec((2, 1))
+
+
 class TestContains:
     def test_witness_positions(self):
         # the embedding of 312 into 23718465 lands on values 7,1,4
