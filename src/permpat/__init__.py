@@ -4,8 +4,8 @@ matching 0-1 matrix extremal function and bipartite-graph contraction."""
 from .bigraphs import (BipartiteGraph, bounds, census_avoiding_graphs,
                        contract, fiber_size, graph_of_word, ordered_contains)
 from .counting import (catalan, count_avoiders, count_multiset_avoiders,
-                       records_to_csv, records_to_json, sequence,
-                       stirling_approx, stirling_count, total_words)
+                       records_to_csv, records_to_json, regular_spec,
+                       sequence, stirling_approx, stirling_count, total_words)
 from .errors import BudgetExceeded, ParseError
 from .matrices import (BinaryMatrix, dq_estimate, extremal_f, extremal_table,
                        perm_to_matrix)
@@ -22,7 +22,7 @@ __all__ = [
     "contained_patterns", "contains", "contract", "count_avoiders",
     "count_multiset_avoiders", "dq_estimate", "extremal_f", "extremal_table",
     "fiber_size", "find_occurrence", "graph_of_word", "ordered_contains",
-    "perm_to_matrix", "records_to_csv", "records_to_json", "reverse",
-    "run_suite", "sequence", "stirling_approx", "stirling_count",
+    "perm_to_matrix", "records_to_csv", "records_to_json", "regular_spec",
+    "reverse", "run_suite", "sequence", "stirling_approx", "stirling_count",
     "total_words",
 ]

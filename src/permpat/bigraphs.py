@@ -234,13 +234,13 @@ class Power:
     def __str__(self) -> str:
         if self.is_exact:
             return _decimal(self.value)
-        return f"{self.base}^({self.exponent})"
+        return f"{_decimal(self.base)}^({_ratio(self.exponent)})"
 
     def as_dict(self) -> dict:
         value = self.value
         return {
             "base": _decimal(self.base),
-            "exponent": str(self.exponent),
+            "exponent": _ratio(self.exponent),
             "value": None if value is None else _decimal(value),
         }
 
@@ -252,6 +252,13 @@ def _decimal(value: int) -> str:
     digits by default); Decimal conversion is exact and not limited.
     """
     return str(Decimal(value))
+
+
+def _ratio(value: Fraction) -> str:
+    """str(value), with its numerator and denominator through _decimal."""
+    if value.denominator == 1:
+        return _decimal(value.numerator)
+    return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
 
 
 @dataclass(frozen=True)
@@ -269,7 +276,7 @@ class BoundRecord:
         return {
             "n": self.n,
             "m": self.m,
-            "d": str(self.d),
+            "d": _ratio(self.d),
             "klazar_bound": self.klazar_bound.as_dict(),
             "multiset_bound": self.multiset_bound.as_dict(),
             "e_q": self.e_q.as_dict(),

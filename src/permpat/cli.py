@@ -18,7 +18,7 @@ from pathlib import Path
 from .bigraphs import (bounds, census_avoiding_graphs, contract,
                        graph_of_word, ordered_contains)
 from .counting import (count_multiset_avoiders, records_to_csv,
-                       records_to_json, sequence)
+                       records_to_json, regular_spec, sequence)
 from .errors import BudgetExceeded, ParseError
 from .matrices import BinaryMatrix, extremal_table
 from .verify import DEFAULT_SEED, SUITES, run_suite
@@ -49,8 +49,8 @@ def _cmd_count(args) -> int:
     if args.n_max is not None:
         records = sequence(pattern, args.n_max, args.m)
     else:
-        records = [count_multiset_avoiders(
-            MultisetSpec.regular(args.n, args.m), pattern)]
+        records = [count_multiset_avoiders(regular_spec(args.n, args.m),
+                                           pattern)]
     if args.format == "json":
         print(records_to_json(records))
     else:

@@ -6,7 +6,9 @@ leaves and on its partial occurrences of the pattern, with their pinned
 values re-coded relative to the values still available.  The counter
 keeps one layer of such states per prefix length, each with the number
 of prefixes that reach it, and appends only letters that complete no
-occurrence (containment is monotone under appending entries).  Slow
+occurrence (containment is monotone under appending entries).  A state
+keeps only the partial occurrences no other one dominates, and each
+partial occurrence's moves are computed once per layer.  Slow
 no-pruning counters are kept alongside as independent references.
 """
 from __future__ import annotations
@@ -21,7 +23,8 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ParseError
-from .words import MultisetSpec, Word, canonical_form, contains_bruteforce
+from .words import (_BOTH, _HI, _LO, MultisetSpec, Word, _antichain,
+                    canonical_form, contains_bruteforce)
 
 # Upper bound on the number of arrangements an exact count may range over.
 DEFAULT_MAX_TOTAL = 10_000_000
@@ -33,14 +36,24 @@ DEFAULT_MAX_TOTAL = 10_000_000
 _MAX_LAYERS = 100_000
 
 
+class CountWork(NamedTuple):
+    """What one count cost the engine, in deterministic units."""
+
+    layers: int       # letters placed, one layer of states each
+    peak_states: int  # most states in one layer
+    transitions: int  # (state, letter) successors built over all layers
+
+
 @dataclass(frozen=True)
 class CountRecord:
-    """One exact counting result over a fixed multiset and pattern."""
+    """One exact counting result over a fixed multiset and pattern, with
+    the engine's work (zero when the engine did not make the record)."""
 
     spec: MultisetSpec
     pattern: Word
     count: int
     total: int
+    work: CountWork = CountWork(0, 0, 0)
 
     def __post_init__(self):
         # the engine produced the count, so a bad one is an internal fault
@@ -71,6 +84,7 @@ class CountRecord:
             "count": str(self.count),
             "total": str(self.total),
             "growth": self.growth,
+            **self.work._asdict(),
         }
 
 
@@ -91,14 +105,28 @@ def total_words(spec: MultisetSpec) -> int:
     return value
 
 
+def _guard_layers(length: int) -> None:
+    """Refuse a multiset longer than _MAX_LAYERS letters."""
+    if length > _MAX_LAYERS:
+        raise BudgetExceeded(
+            f"{length} letters exceed the counting cap of {_MAX_LAYERS} "
+            "layers")
+
+
+def regular_spec(n: int, m: int) -> MultisetSpec:
+    """The regular multiset [n]_m.  n and m are judged on a spec of at most
+    one value, and n*m against the layer cap, before its n entries are
+    built, so a huge n costs nothing to refuse."""
+    MultisetSpec.regular(min(n, 1), m)
+    _guard_layers(n * m)
+    return MultisetSpec.regular(n, m)
+
+
 def _budgeted_total(spec: MultisetSpec) -> int:
     """total_words(spec), or a refusal judged from logarithms before it is
     formed, with a margin so lgamma's rounding never refuses a fit total.
     A multiset longer than _MAX_LAYERS is refused before any of that."""
-    if spec.length > _MAX_LAYERS:
-        raise BudgetExceeded(
-            f"{spec.length} letters exceed the counting cap of {_MAX_LAYERS} "
-            "layers")
+    _guard_layers(spec.length)
     top = math.lgamma(spec.length + 1)
     log_total = top - math.fsum(math.lgamma(m + 1)
                                 for m in spec.multiplicities)
@@ -175,6 +203,15 @@ def iter_words(spec: MultisetSpec) -> Iterator[tuple[int, ...]]:
 # below.  A state is the remaining multiplicities of the available values
 # plus the frozenset of live embeddings (the empty one is implicit); prefixes
 # of one length that reach the same state have the same avoiding completions.
+#
+# Only an antichain of embeddings is kept.  At equal t, the later pattern
+# letters read a pin as the lower end of a window, as its upper end, or
+# exactly (both ends, or a recurring rank), and an embedding at least as good
+# on every pin (lower ends no higher, upper ends no lower, the rest equal) can
+# complete every occurrence the other can, so the other adds nothing.  Within
+# a layer one embedding appears in many states, so its moves (per letter, the
+# embeddings it becomes, or None where the letter completes an occurrence)
+# are computed once per (available values, embedding) and states take unions.
 
 
 class _Step(NamedTuple):
@@ -204,12 +241,20 @@ class _Engine:
             return (max((s for s in pinned if s < r), default=bottom),
                     min((s for s in pinned if s > r), default=top))
 
-        # needed[t]: ranks pinned by the first t letters that a later test reads
+        # needed[t]: ranks pinned by the first t letters that a later test
+        # reads; roles[t][r]: how letters t..k-1 read pin r
         needed: list[set[int]] = [set() for _ in range(k + 1)]
+        roles: list[list[int]] = [[0] * (nranks + 2) for _ in range(k + 1)]
+        first = {r: ranks.index(r) for r in set(ranks)}
         for t in range(k - 1, -1, -1):
             r = ranks[t]
-            reads = {r} if r in ranks[:t] else set(window(t, r))
-            needed[t] = (needed[t + 1] | reads) & set(ranks[:t])
+            reads = ({r: _BOTH} if first[r] < t
+                     else dict(zip(window(t, r), (_LO, _HI))))
+            needed[t] = (needed[t + 1] | set(reads)) & set(ranks[:t])
+            for s, role in reads.items():
+                # pin s exists from the letter after its first one
+                for u in range(first.get(s, t) + 1, t + 1):
+                    roles[u][s] |= role
         steps = []
         for t, r in enumerate(ranks):
             pinned, due = ranks[:t], ranks[t:]
@@ -224,80 +269,142 @@ class _Engine:
                     if (free := sum(s not in pinned
                                     for s in range(a + 1, b))))))
         self.steps = tuple(steps)
+        # None where no pin is read one way only: dominance is then
+        # equality, which the frozenset of a state already gives
+        self.roles = tuple(tuple(role) if _LO in role or _HI in role
+                           else None for role in roles)
+        self.ordered = any(self.roles)
         self.unpinned = (-1,) * nranks
+        # this layer's memos: avail -> (letters(avail), {embedding: moves},
+        # the empty embedding), and each union of moves -> its antichain
+        self.memo: dict[tuple, tuple] = {}
+        self.antichains: dict[frozenset, frozenset] = {}
+        self.work = CountWork(0, 0, 0)  # of the last count
+
+    def letters(self, avail: tuple[int, ...]) -> tuple:
+        """Per letter a_j, the multiplicities it leaves and the re-coding
+        of pins: None while a_j stays available, else a_j's code and the
+        gaps beside it become gap 2j and the codes above it move down
+        by 2."""
+        m = len(avail)
+        afters, recodes = [], []
+        for j, left in enumerate(avail):
+            if left > 1:
+                afters.append(avail[:j] + (left - 1,) + avail[j + 1:])
+                recodes.append(None)
+            else:
+                x = 2 * j + 1
+                afters.append(avail[:j] + avail[j + 1:])
+                recodes.append((*range(x), x - 1, x - 1, *range(x, 2 * m),
+                                -1))
+        return afters, recodes
+
+    def moves(self, avail: tuple[int, ...], letters: tuple,
+              t: int, pins: tuple[int, ...]) -> tuple:
+        """Per available value a_j: None when appending it completes an
+        occurrence through (t, pins), else the embeddings (t, pins) leaves
+        after it, kept and grown, that can still complete."""
+        steps, k = self.steps, len(self.steps)
+        afters, recodes = letters
+        left = sum(avail) - 1
+        r, pinned, lo, hi, forget, _, _ = steps[t]
+        if pinned:
+            first = pins[r] >> 1  # the code is odd: dead pins are dropped
+            last = first + 1
+        else:
+            first, last = (pins[lo] + 1) >> 1, pins[hi] >> 1
+        # the empty embedding is implicit in every state
+        kept = ((t, pins),) if t and k - t <= left else ()
+        grows = t + 1 < k and k - t - 1 <= left
+        out = []
+        for j, (after, recode) in enumerate(zip(afters, recodes)):
+            embs = kept
+            if first <= j < last:
+                if t + 1 == k:
+                    out.append(None)
+                    continue
+                if grows:
+                    new = list(pins)
+                    new[r] = 2 * j + 1
+                    for s in forget:
+                        new[s] = -1
+                    embs = (*kept, (t + 1, tuple(new)))
+            if recode is not None:
+                embs = [(u, tuple(map(recode.__getitem__, code)))
+                        for u, code in embs]
+            live = []
+            for u, code in embs:
+                _, _, _, _, _, recur, gaps = steps[u]
+                # a pinned rank that recurs needs enough copies of its value
+                if any(not code[s] & 1 or after[code[s] >> 1] < due
+                       for s, due in recur):
+                    continue
+                # unpinned ranks need distinct available values in their
+                # window
+                if any(code[b] // 2 - (code[a] + 1) // 2 < free
+                       for a, b, free in gaps):
+                    continue
+                live.append((u, code))
+            out.append(tuple(live))
+        return tuple(out)
 
     def successors(self, avail: tuple[int, ...],
                    embeddings: frozenset) -> list[tuple[tuple, frozenset]]:
         """The state after each available value a_j whose appending
         completes no occurrence, in increasing j."""
-        steps, k = self.steps, len(self.steps)
-        m = len(avail)
-        letters = sum(avail) - 1
-        # the letters each embedding extends on, as a range j in [first, last)
-        banned: set[int] = set()
-        grows = []
-        for t, pins in ((0, self.unpinned + (2 * m + 1, -1)), *embeddings):
-            r, pinned, lo, hi, forget, _, _ = steps[t]
-            if pinned:
-                first = pins[r] >> 1  # the code is odd: dead pins are dropped
-                last = first + 1
-            else:
-                first, last = (pins[lo] + 1) >> 1, pins[hi] >> 1
-            if t + 1 == k:
-                banned.update(range(first, last))
-            elif k - t - 1 <= letters and first < last:
-                grows.append((first, last, pins, r, forget, t + 1))
-        kept = [(t, pins) for t, pins in embeddings if k - t <= letters]
-        out = []
-        for j in range(m):
-            if j in banned:
-                continue
-            x = 2 * j + 1
-            grown = set(kept)
-            for first, last, pins, r, forget, grown_t in grows:
-                if first <= j < last:
-                    new = list(pins)
-                    new[r] = x
-                    for s in forget:
-                        new[s] = -1
-                    grown.add((grown_t, tuple(new)))
-            left = avail[j] - 1
-            if left:
-                after = avail[:j] + (left,) + avail[j + 1:]
-            else:
-                # a_j is used up: its code and the gaps beside it become gap
-                # 2j, and the codes above it move down by 2
-                after = avail[:j] + avail[j + 1:]
-                recode = [*range(x), x - 1, x - 1, *range(x, 2 * m), -1]
-                grown = {(t, tuple(map(recode.__getitem__, pins)))
-                         for t, pins in grown}
-            live = []
-            for t, pins in grown:
-                _, _, _, _, _, recur, gaps = steps[t]
-                # a pinned rank that recurs needs enough copies of its value
-                if any(not pins[s] & 1 or after[pins[s] >> 1] < due
-                       for s, due in recur):
-                    continue
-                # unpinned ranks need distinct available values in their window
-                if any(pins[b] // 2 - (pins[a] + 1) // 2 < free
-                       for a, b, free in gaps):
-                    continue
-                live.append((t, pins))
-            out.append((after, frozenset(live)))
-        return out
+        entry = self.memo.get(avail)
+        if entry is None:
+            empty = (0, self.unpinned + (2 * len(avail) + 1, -1))
+            entry = self.memo[avail] = (self.letters(avail), {}, empty)
+        letters, known, empty = entry
+        per = []
+        for emb in (empty, *embeddings):
+            moves = known.get(emb)
+            if moves is None:
+                moves = known[emb] = self.moves(avail, letters, *emb)
+            per.append(moves)
+        return [(after, self.undominated(frozenset().union(*embs)))
+                for after, embs in zip(letters[0], zip(*per))
+                if None not in embs]
+
+    def undominated(self, live: frozenset) -> frozenset:
+        """The antichain of `live`: at each t whose pins are read in
+        order, the embeddings no other one there dominates."""
+        if len(live) < 2 or not self.ordered:
+            return live
+        known = self.antichains.get(live)
+        if known is None:
+            levels: dict[int, list] = {}
+            for t, pins in live:
+                levels.setdefault(t, []).append(pins)
+            kept = []
+            for t, level in levels.items():
+                roles = self.roles[t]
+                if roles is not None and len(level) > 1:
+                    level = _antichain(level, roles)
+                kept.extend((t, pins) for pins in level)
+            known = self.antichains[live] = frozenset(kept)
+        return known
 
     def count(self, avail: tuple[int, ...]) -> int:
         """Avoiding arrangements of the multiset with multiplicities
         avail; each layer maps a state to the number of prefixes that
-        reach it."""
+        reach it.  Its work is left in self.work."""
         successors = self.successors
         layer = {(avail, frozenset()): 1}
-        for _ in range(sum(avail)):
+        layers, peak, transitions = sum(avail), 1, 0
+        for _ in range(layers):
+            self.memo, self.antichains = {}, {}
             nxt: dict = {}
             for state, ways in layer.items():
-                for after in successors(*state):
-                    nxt[after] = nxt.get(after, 0) + ways
+                after = successors(*state)
+                transitions += len(after)
+                for state_after in after:
+                    nxt[state_after] = nxt.get(state_after, 0) + ways
             layer = nxt
+            peak = max(peak, len(layer))
+        self.memo, self.antichains = {}, {}
+        self.work = CountWork(layers, peak, transitions)
         return sum(layer.values())
 
 
@@ -319,8 +426,10 @@ def count_multiset_avoiders(spec: MultisetSpec, pattern: Word, *,
     if workers < 1:
         raise ParseError(f"workers must be >= 1, got {workers}")
     total = _budgeted_total(spec)
-    count = _engine(pattern.entries).count(spec.multiplicities)
-    return CountRecord(spec=spec, pattern=pattern, count=count, total=total)
+    engine = _engine(pattern.entries)
+    count = engine.count(spec.multiplicities)
+    return CountRecord(spec=spec, pattern=pattern, count=count, total=total,
+                       work=engine.work)
 
 
 def count_avoiders(n: int, pattern: Word, *, workers: int = 1) -> CountRecord:
@@ -334,7 +443,7 @@ def count_avoiders(n: int, pattern: Word, *, workers: int = 1) -> CountRecord:
     if not pattern.is_permutation:
         raise ParseError(
             "pattern has repeated values; use count_multiset_avoiders")
-    return count_multiset_avoiders(MultisetSpec.unit(n), pattern,
+    return count_multiset_avoiders(regular_spec(n, 1), pattern,
                                    workers=workers)
 
 
@@ -350,12 +459,13 @@ def sequence(pattern: Word, n_max: int, m: int = 1) -> list[CountRecord]:
     independently, once the budget has passed at n_max, the largest total."""
     if n_max < 1:
         raise ParseError("n_max must be >= 1")
-    _budgeted_total(MultisetSpec.regular(n_max, m))
+    _budgeted_total(regular_spec(n_max, m))
     return [count_multiset_avoiders(MultisetSpec.regular(n, m), pattern)
             for n in range(1, n_max + 1)]
 
 
-CSV_FIELDS = ("n", "m", "pattern", "count", "total", "growth")
+CSV_FIELDS = ("n", "m", "pattern", "count", "total", "growth",
+              *CountWork._fields)
 
 
 def records_to_csv(records: Sequence[CountRecord]) -> str:

@@ -18,7 +18,7 @@ from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ParseError
-from .words import Word
+from .words import _BOTH, _HI, _LO, Word, _antichain, _dominates
 
 
 @dataclass(frozen=True, order=True)
@@ -161,9 +161,6 @@ def matrix_contains(P: BinaryMatrix, Q: BinaryMatrix) -> bool:
 # effects; where the first pin is read both ways they stay close to one class
 # per row.  Successor states are built once per class, and pruned once per
 # distinct set of grown embeddings.
-
-_LO, _HI, _BOTH = 1, 2, 3
-
 
 class _Step(NamedTuple):
     """What an embedding that has placed t pattern rows does next."""
@@ -463,30 +460,6 @@ def _best_columns(mask: int, role: int) -> list[int]:
     if role == _HI:
         return [mask.bit_length() - 1]
     return [(mask & -mask).bit_length() - 1]
-
-
-def _dominates(a: tuple, b: tuple, roles: tuple[int, ...]) -> bool:
-    """Can pins `a` follow every row that pins `b` (same level) can?"""
-    return all(x <= y if role == _LO else x >= y if role == _HI else x == y
-               for x, y, role in zip(a, b, roles))
-
-
-def _antichain(level, roles: tuple[int, ...]) -> list:
-    """The pins of one level that no other pins of it dominate, sorted."""
-    if len(level) <= 1 or roles == (_BOTH,):
-        return sorted(level)
-    if roles == (_LO,):
-        return [min(level)]
-    if roles == (_HI,):
-        return [max(level)]
-    # a dominating embedding sorts strictly before the ones it dominates
-    signed = sorted(level, key=lambda pins: sum(
-        -x if role == _HI else x for x, role in zip(pins, roles)))
-    kept: list = []
-    for pins in signed:
-        if not any(_dominates(other, pins, roles) for other in kept):
-            kept.append(pins)
-    return sorted(kept)
 
 
 @dataclass(frozen=True)

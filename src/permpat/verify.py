@@ -37,6 +37,9 @@ DEFAULT_SEED = 0
 
 THREE_PATTERNS = ("123", "132", "213", "231", "312", "321")
 SMALL_PATTERNS = ("1", "12", "21") + THREE_PATTERNS
+# (pattern, multiplicities, most states the count engine may hold in a layer)
+PEAK_STATES = (("132", (1,) * 10, 132), ("1234", (1,) * 10, 110),
+               ("1342", (1,) * 10, 434), ("1212", (4, 4, 4), 111))
 
 
 @dataclass(frozen=True)
@@ -356,6 +359,34 @@ def _suite_stirling(rng: random.Random) -> Iterator[Check]:
                  f"{eng_cases} cases: every multiset of size <= 6 "
                  f"against all {len(patterns)} patterns of length "
                  "<= 4, vs all-subsequences containment")
+
+    # Savage and Wilf (2006): all six 3-patterns are equally avoided on
+    # every multiset; this compares counts only, not the engine's states
+    sw_bad, sw_cases = [], 0
+    for length in range(1, 9):
+        for comp in _compositions(length):
+            sw_cases += 1
+            counts = [count_multiset_avoiders(MultisetSpec(comp),
+                                              Word.parse(pat)).count
+                      for pat in THREE_PATTERNS]
+            if len(set(counts)) > 1:
+                sw_bad.append((comp, counts))
+    yield _check("savage-wilf", sw_bad,
+                 f"the 6 patterns of length 3 agree on all {sw_cases} "
+                 "multisets of size <= 8")
+
+    # Switching off a pruning step leaves every count exact, so the work is
+    # pinned too: peak layer states at most their values when last lowered
+    peaks = [(pat, mults, bound, count_multiset_avoiders(
+                MultisetSpec(mults), Word.parse(pat)).work.peak_states)
+             for pat, mults, bound in PEAK_STATES]
+    yield _check("engine-work",
+                 [(pat, str(MultisetSpec(mults)), peak, bound)
+                  for pat, mults, bound, peak in peaks if peak > bound],
+                 "peak layer states " + ", ".join(
+                     f"{pat} on ({MultisetSpec(mults)}) {peak} "
+                     f"(at most {bound})"
+                     for pat, mults, bound, peak in peaks))
 
     single = count_multiset_avoiders(MultisetSpec((4,)), Word.parse("12")).count
     degenerate_bad = [] if single == 1 else [((4,), "12", single)]

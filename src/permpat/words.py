@@ -36,8 +36,16 @@ class Word:
         values = set(entries)
         top = max(values)
         if len(values) != top:
-            missing = sorted(set(range(1, top + 1)) - values)
-            raise ParseError(f"word value set has gaps: missing {missing}")
+            # name the first five missing values and how many more: the cost
+            # follows the word's length, not its largest entry
+            missing: list[int] = []
+            below = 0
+            for v in sorted(values):
+                missing += range(below + 1, min(v, below + 6 - len(missing)))
+                below = v
+            more = top - len(values) - len(missing)
+            raise ParseError(f"word value set has gaps: missing {missing}"
+                             + (f" and {more} more" if more else ""))
 
     @classmethod
     def parse(cls, text: str) -> "Word":
@@ -225,6 +233,42 @@ def _rows_contain(rows: list[int], pb: int,
         return None
 
     return place(0, 0)
+
+
+# --- dominance between partial embeddings ------------------------------------
+#
+# The row-transfer extremal engine and the frontier-state counter both keep
+# partial embeddings of a pattern as tuples of pins.  At equal progress, how
+# the rest of the pattern reads a pin decides which value of it is better: one
+# read only as a lower end is better smaller, one read only as an upper end
+# better larger, and any other must match exactly.
+
+_LO, _HI, _BOTH = 1, 2, 3
+
+
+def _dominates(a: tuple, b: tuple, roles: tuple[int, ...]) -> bool:
+    """Can pins `a` complete every continuation that pins `b` (same level)
+    can?"""
+    return all(x <= y if role == _LO else x >= y if role == _HI else x == y
+               for x, y, role in zip(a, b, roles))
+
+
+def _antichain(level, roles: tuple[int, ...]) -> list:
+    """The pins of one level that no other pins of it dominate, sorted."""
+    if len(level) <= 1 or roles == (_BOTH,):
+        return sorted(level)
+    if roles == (_LO,):
+        return [min(level)]
+    if roles == (_HI,):
+        return [max(level)]
+    # a dominating embedding sorts strictly before the ones it dominates
+    signed = sorted(level, key=lambda pins: sum(
+        -x if role == _HI else x for x, role in zip(pins, roles)))
+    kept: list = []
+    for pins in signed:
+        if not any(_dominates(other, pins, roles) for other in kept):
+            kept.append(pins)
+    return sorted(kept)
 
 
 def _occurrence(word: Word, pattern: Word) -> list[int] | None:

@@ -36,6 +36,15 @@ def test_import_loads_no_pool_machinery():
 MATRICES = {"id2.txt": "10\n01\n", "bad.txt": "10\nxx\n",
             "not-perm.txt": "11\n01\n", "latin-1.txt": "\xff\n"}
 EXTREMAL = "extremal --matrix-file {dir}/"
+# bounds at d = 10^-5000: 15^(2d), 225^d and 450^d, none an integer
+TINY_SLOPE = "1/1" + "0" * 5000
+TINY_SLOPE_BOUNDS = json.dumps({
+    "n": 1, "m": 1, "d": TINY_SLOPE,
+    "klazar_bound": {"base": "15", "exponent": "1/5" + "0" * 4999,
+                     "value": None},
+    "multiset_bound": {"base": "225", "exponent": TINY_SLOPE, "value": None},
+    "e_q": {"base": "450", "exponent": TINY_SLOPE, "value": None},
+}, indent=2) + "\n"
 EXIT_TABLE = [  # (argv, exit code, stdout, stderr fragment)
     ("contains --word 1214324 --pattern 211", 1, "avoids\n", "", "avoids"),
     ("contains --word 1 --pattern 12", 1, "avoids\n", "", "trivial_avoid"),
@@ -64,8 +73,14 @@ EXIT_TABLE = [  # (argv, exit code, stdout, stderr fragment)
      "30000000 letters exceed the counting cap of 100000 layers",
      "layer_cap"),
     ("count --pattern 12 --n 1 --m 100000", 0,
-     "n,m,pattern,count,total,growth\n1,100000,12,1,1,1.0\n", "",
+     "n,m,pattern,count,total,growth,layers,peak_states,transitions\n"
+     "1,100000,12,1,1,1.0,100000,1,100000\n", "",
      "layer_cap_largest_admitted"),
+    # n*m is judged before the n entries of [n]_m are built; 10^30 of them
+    # could not be built at all
+    *((f"count --pattern 12 --{size} {10**30}", 3, "",
+       f"{10**30} letters exceed the counting cap of 100000 layers",
+       f"layer_cap_{size.replace('-', '_')}") for size in ("n", "n-max")),
     (EXTREMAL + "id2.txt --n-max 101", 3, "", "n <= 42", "size_guard"),
     (EXTREMAL + "bad.txt --n-max 2", 2, "", "over '0'/'1'", "bad_matrix"),
     (EXTREMAL + "missing.txt --n-max 2", 2, "",
@@ -92,6 +107,9 @@ EXIT_TABLE = [  # (argv, exit code, stdout, stderr fragment)
     ("bounds --n 0 --m 1 --d 1", 2, "", "n and m must be >= 1", "bounds_n_0"),
     ("bounds --n 1 --m 1 --d -1", 2, "", "slope d must be >= 0",
      "bounds_negative_slope"),
+    # a valid slope whose denominator has more digits than str(int) allows
+    ("bounds --n 1 --m 1 --d 1e-5000", 0, TINY_SLOPE_BOUNDS, "",
+     "bounds_tiny_slope"),
 ]
 
 

@@ -7,7 +7,7 @@ import math
 import pytest
 
 from permpat import counting
-from permpat.counting import (CountRecord, catalan, count_avoiders,
+from permpat.counting import (CountRecord, CountWork, catalan, count_avoiders,
                               count_multiset_avoiders, iter_words,
                               records_to_csv, records_to_json, sequence,
                               stirling_approx, stirling_count, total_words)
@@ -47,6 +47,12 @@ class TestCountAvoiders:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         assert count_avoiders(10, W("1234"), workers=2).count == 586590  # Gessel
+
+    def test_length_judged_before_the_spec_is_built(self):
+        # 10^30 entries could not be built at all, so only a guard that
+        # runs first refuses them as a budget
+        with pytest.raises(BudgetExceeded, match="counting cap"):
+            count_avoiders(10**30, W("12"))
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_rejects_invalid_workers(self, workers):
@@ -155,6 +161,19 @@ class TestRecordsAndSerialization:
             assert row["count"] == blob["count"]
             assert row["total"] == blob["total"]
             assert float(row["growth"]) == blob["growth"]
+            for field in CountWork._fields:
+                assert int(row[field]) == blob[field]
+
+    def test_work_counts(self):
+        # one layer per letter; the work of a count is the same every time
+        records = sequence(W("212"), 3, 2)
+        assert [r.work.layers for r in records] == [2, 4, 6]
+        again = count_multiset_avoiders(MultisetSpec.regular(3, 2), W("212"))
+        assert again.work == records[-1].work
+        assert again.work.peak_states >= 1
+        assert again.work.transitions >= again.work.layers
+        # a record the engine did not make carries no work
+        assert CountRecord(MultisetSpec((1,)), W("1"), 0, 1).work == (0, 0, 0)
 
     def test_big_integers_as_decimal_strings(self):
         blob = json.loads(records_to_json(

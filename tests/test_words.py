@@ -29,6 +29,15 @@ class TestWordType:
         with pytest.raises(ParseError):
             Word.parse("13")
 
+    def test_gap_message_names_the_first_five(self):
+        # the message follows the word's length, not its largest entry
+        with pytest.raises(ParseError, match=r"missing \[2\]$"):
+            Word((1, 3))
+        with pytest.raises(ParseError) as info:
+            Word((1, 300000))
+        assert str(info.value) == ("word value set has gaps: missing "
+                                   "[2, 3, 4, 5, 6] and 299993 more")
+
     def test_empty_and_zero_rejected(self):
         with pytest.raises(ParseError):
             Word(())
