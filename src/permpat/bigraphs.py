@@ -11,10 +11,13 @@ edge sets.
 
 Ordered containment runs the kernel that also decides word containment,
 `words._rows_contain`, over one right-neighbour bitmask per left vertex.
-`ordered_contains` builds those rows from an edge set; the census of
+`ordered_contains` builds those rows from an edge set.  The census of
 avoiding graphs keeps one mutable list of rows while it walks the
 down-set of avoiding edge sets, setting and clearing one bit per
-extension.
+extension.  The walk adds edges in increasing bit order, so a new edge
+can only carry the pattern's last letter: each child is tested with
+that letter's value pinned to the new edge's column, over the rows
+above it.
 """
 from __future__ import annotations
 
@@ -163,10 +166,10 @@ def fiber_size(Gp: BipartiteGraph, spec: MultisetSpec) -> int:
 
 
 # Largest n*m*n the census walks.  On Python 3.11.7 (2 vCPUs) the slowest
-# admitted censuses take 1.7 s (12 on (2,6)), 1.2 s (the 3-patterns on
-# (3,2)) and 0.5 s (the 4-patterns on (4,1)); the first refused ones take
-# 180 s (12345 on (5,1), 25 cells), over 200 s (123 on (3,3)) and 9 s
-# (12 on (2,7)).
+# admitted censuses take 0.57 s (12 on (2,6)), 0.61 s (123 and 213 on
+# (3,2)) and 0.25 s (the slowest 4-patterns on (4,1)); the first refused
+# ones take 129 s (12345 on (5,1), 25 cells), 130 s (123 on (3,3)) and
+# 4.2 s (12 on (2,7)).
 DEFAULT_CENSUS_CELLS = 24
 
 
@@ -178,9 +181,18 @@ def census_avoiding_graphs(n: int, m: int, pattern: Word) -> int:
     exactly once from the avoiding set without its highest bit (bit
     (i-1)*n + (j-1) is the edge (i, j)).  The census walks that down-set
     from the empty graph: it extends an avoider only by bits above its
-    highest one, tests each child with `_rows_contain`, and recurses only
-    into children that avoid.  A pattern longer than n fits into no graph,
-    so all 2^(n*m*n) graphs avoid it.
+    highest one and recurses only into children that avoid.  A pattern
+    longer than n fits into no graph, so all 2^(n*m*n) graphs avoid it.
+
+    Each child is tested only for the occurrences it adds.  A child that
+    sets bit (u, j) (0-based) on an avoiding parent has rows u+1.. empty,
+    so an occurrence it adds maps some pattern letter onto (u, j), and
+    every later letter would need a nonempty row after u: that letter is
+    the last one, p_k.  So the child contains the pattern exactly when
+    rows[:u] contain its first k-1 letters with the value p_k pinned to
+    column j, one `_rows_contain` call with that pin.  It cannot when
+    there are fewer than k-1 rows above u, or fewer than p_k - 1 columns
+    below j or k - p_k above it; those children avoid without a search.
     """
     if n < 1 or m < 1:
         raise ParseError("n and m must be >= 1")
@@ -190,19 +202,25 @@ def census_avoiding_graphs(n: int, m: int, pattern: Word) -> int:
     if cells > DEFAULT_CENSUS_CELLS:
         raise BudgetExceeded(f"census over 2^{cells} graphs exceeds the "
                              f"guard of 2^{DEFAULT_CENSUS_CELLS}")
-    if pattern.length > n:
+    k = pattern.length
+    if k > n:
         return 1 << cells
     nbrs = _neighbour_lists(pattern_graph(pattern))
+    head, last = nbrs[:-1], nbrs[-1][0]
     rows = [0] * (n * m)
+
+    def avoids(u: int, j: int) -> bool:
+        return (u < k - 1 or j < last or k - 1 - last > n - 1 - j
+                or _rows_contain(rows[:u], n, head, k, ((last, j),)) is None)
 
     def walk(start: int) -> int:
         found = 0
         for bit in range(start, cells):
             u, j = divmod(bit, n)
-            rows[u] |= 1 << j
-            if _rows_contain(rows, n, nbrs, pattern.length) is None:
+            if avoids(u, j):
+                rows[u] |= 1 << j
                 found += 1 + walk(bit + 1)
-            rows[u] ^= 1 << j
+                rows[u] ^= 1 << j
         return found
 
     return 1 + walk(0)

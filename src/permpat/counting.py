@@ -257,13 +257,13 @@ class _Engine:
                     roles[u][s] |= role
         steps = []
         for t, r in enumerate(ranks):
-            pinned, due = ranks[:t], ranks[t:]
+            pinned, due = set(ranks[:t]), ranks[t:]
             ends = [bottom, *sorted(needed[t]), top]
             steps.append(_Step(
                 r, r in pinned, *window(t, r),
                 forget=tuple(sorted((needed[t] | {r}) - needed[t + 1])),
                 recur=tuple((s, due.count(s))
-                            for s in sorted(set(pinned) & set(due))),
+                            for s in sorted(pinned & set(due))),
                 gaps=tuple(
                     (a, b, free) for a, b in zip(ends, ends[1:])
                     if (free := sum(s not in pinned

@@ -693,6 +693,19 @@ def _suite_proof_chain(rng: random.Random) -> Iterator[Check]:
     yield _check("census-closed-form", form_bad,
                  "12 and 21 on (2,m) give (2m+1) 4^m for m <= 6")
 
+    # on (n,1) both classes have n vertices, so the only injections are
+    # the identities, and a graph contains a length-n pattern exactly when
+    # it holds the pattern's n edges: 2^(n^2) - 2^(n^2-n) graphs avoid it.
+    # The 4-patterns end on each value 1..4
+    full = [(len(p), p) for p in SMALL_PATTERNS]
+    full += [(4, p) for p in ("2341", "1342", "1243", "1234")]
+    full_bad = [(n, p) for n, p in full
+                if census_avoiding_graphs(n, 1, Word.parse(p))
+                != 2 ** (n * n) - 2 ** (n * n - n)]
+    yield _check("census-full-length", full_bad,
+                 "every pattern of length n <= 3, and 2341, 1342, 1243, "
+                 "1234, on (n,1) give 2^(n^2) - 2^(n^2-n)")
+
     chain_sizes = ((2, 1), (2, 2), (3, 1), (2, 3), (2, 4), (3, 2))
     censuses = {(n, m, pat): census_avoiding_graphs(n, m, Word.parse(pat))
                 for n, m in chain_sizes for pat in ("12", "21")}

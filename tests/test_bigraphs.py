@@ -155,6 +155,11 @@ class TestCensus:
         assert census_avoiding_graphs(2, 6, W("123")) == 2 ** 24
         assert census_avoiding_graphs(1, 3, W("21")) == 2 ** 3
 
+    def test_multi_row_values(self):
+        # a 3-pattern at m = 2: the room pre-checks meet two rows per value
+        assert census_avoiding_graphs(3, 2, W("123")) == 90112
+        assert census_avoiding_graphs(3, 2, W("132")) == 90112
+
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceeded):
             census_avoiding_graphs(3, 3, W("12"))
