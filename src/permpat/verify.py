@@ -37,9 +37,14 @@ DEFAULT_SEED = 0
 
 THREE_PATTERNS = ("123", "132", "213", "231", "312", "321")
 SMALL_PATTERNS = ("1", "12", "21") + THREE_PATTERNS
-# (pattern, multiplicities, most states the count engine may hold in a layer)
-PEAK_STATES = (("132", (1,) * 10, 132), ("1234", (1,) * 10, 110),
-               ("1342", (1,) * 10, 434), ("1212", (4, 4, 4), 111))
+# (pattern, multiplicities, most states the count engine may hold in a
+# layer, most transitions it may build over all layers)
+PEAK_STATES = (("132", (1,) * 10, 132, 1535), ("1234", (1,) * 10, 110, 1532),
+               ("1342", (1,) * 10, 434, 4777), ("1212", (4, 4, 4), 111, 1110))
+# (pattern, n, most memoized states and most transitions of the extremal
+# search)
+EXTREMAL_WORK = (("3142", 6, 638, 5901), ("213", 8, 1049, 29557),
+                 ("12", 14, 183, 1289))
 
 
 @dataclass(frozen=True)
@@ -376,17 +381,20 @@ def _suite_stirling(rng: random.Random) -> Iterator[Check]:
                  "multisets of size <= 8")
 
     # Switching off a pruning step leaves every count exact, so the work is
-    # pinned too: peak layer states at most their values when last lowered
-    peaks = [(pat, mults, bound, count_multiset_avoiders(
-                MultisetSpec(mults), Word.parse(pat)).work.peak_states)
-             for pat, mults, bound in PEAK_STATES]
+    # pinned too: peak layer states and transitions at most their values
+    # when last lowered
+    works = [(pat, mults, peak, moves, count_multiset_avoiders(
+                MultisetSpec(mults), Word.parse(pat)).work)
+             for pat, mults, peak, moves in PEAK_STATES]
     yield _check("engine-work",
-                 [(pat, str(MultisetSpec(mults)), peak, bound)
-                  for pat, mults, bound, peak in peaks if peak > bound],
-                 "peak layer states " + ", ".join(
-                     f"{pat} on ({MultisetSpec(mults)}) {peak} "
-                     f"(at most {bound})"
-                     for pat, mults, bound, peak in peaks))
+                 [(pat, str(MultisetSpec(mults)), work.peak_states,
+                   work.transitions)
+                  for pat, mults, peak, moves, work in works
+                  if work.peak_states > peak or work.transitions > moves],
+                 "peak layer states and transitions " + ", ".join(
+                     f"{pat} on ({MultisetSpec(mults)}) {work.peak_states} "
+                     f"and {work.transitions} (at most {peak} and {moves})"
+                     for pat, mults, peak, moves, work in works))
 
     single = count_multiset_avoiders(MultisetSpec((4,)), Word.parse("12")).count
     degenerate_bad = [] if single == 1 else [((4,), "12", single)]
@@ -528,6 +536,20 @@ def _suite_matrix(rng: random.Random) -> Iterator[Check]:
                   if table != tables["123"]],
                  f"all six 3-patterns give f = {tables['123']} at "
                  "n <= 4; a finite observation, not an asymptotic claim")
+
+    # a pruning step switched off leaves every value exact: memoized states
+    # and transitions at most their values when last lowered
+    works = [(pat, n, states, moves,
+              extremal_f(n, perm_to_matrix(Word.parse(pat))))
+             for pat, n, states, moves in EXTREMAL_WORK]
+    yield _check("engine-work",
+                 [(pat, n, rec.states, rec.transitions)
+                  for pat, n, states, moves, rec in works
+                  if rec.states > states or rec.transitions > moves],
+                 "states and transitions " + ", ".join(
+                     f"{pat} at n = {n} {rec.states} and {rec.transitions} "
+                     f"(at most {states} and {moves})"
+                     for pat, n, states, moves, rec in works))
 
 
 # ---------------------------------------------------------------------------
