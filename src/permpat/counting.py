@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ParseError
-from .words import (_BOTH, _HI, _LO, MultisetSpec, Word, _antichain,
+from .words import (_HI, _LO, MultisetSpec, Word, _antichain, _plan,
                     canonical_form, contains_bruteforce)
 
 # Upper bound on the number of arrangements an exact count may range over.
@@ -195,14 +195,14 @@ def iter_words(spec: MultisetSpec) -> Iterator[tuple[int, ...]]:
 #
 # A prefix matters to its completions only through the letters it leaves and
 # the partial occurrences of the pattern it holds.  An embedding (t, pins) has
-# matched the first t pattern letters; pins[r] codes the value pinned to
-# pattern rank r relative to the values still available, a_0 < ... < a_(m-1):
-# 2j+1 is "equal to a_j" and 2j is "strictly between a_(j-1) and a_j".  Ranks
-# that are unpinned, or pinned but never read again, hold -1.  Two sentinels
-# close every window: pins[-2] = 2m+1 lies above every value and pins[-1] = -1
-# below.  A state is the remaining multiplicities of the available values
-# plus the frozenset of live embeddings (the empty one is implicit); prefixes
-# of one length that reach the same state have the same avoiding completions.
+# matched the first t pattern letters and keeps one pin per live rank, in the
+# layout of `words._plan`.  A pin codes its value relative to the values still
+# available, a_0 < ... < a_(m-1): 2j+1 is "equal to a_j" and 2j is "strictly
+# between a_(j-1) and a_j", so a window with no pin below starts at a_0 and
+# one with no pin above ends past a_(m-1).  A state is the remaining
+# multiplicities of the available values plus the frozenset of live
+# embeddings (the empty one is implicit); prefixes of one length that reach
+# the same state have the same avoiding completions.
 #
 # Only an antichain of embeddings is kept.  At equal t, the later pattern
 # letters read a pin as the lower end of a window, as its upper end, or
@@ -214,69 +214,37 @@ def iter_words(spec: MultisetSpec) -> Iterator[tuple[int, ...]]:
 # are computed once per (available values, embedding) and states take unions.
 
 
-class _Step(NamedTuple):
-    """What an embedding that has matched t pattern letters does next."""
-
-    rank: int                # rank of pattern letter t
-    pinned: bool             # rank already pinned: the letter must equal it
-    lo: int                  # else the nearest pinned ranks below and above
-    hi: int                  # it, or the sentinels where there is none
-    forget: tuple[int, ...]  # pins that no test reads after this letter
-    # (pinned rank, letters of that rank still to match)
-    recur: tuple[tuple[int, int], ...]
-    # (lower rank, upper rank, unpinned ranks strictly between)
-    gaps: tuple[tuple[int, int, int], ...]
-
-
 class _Engine:
     """Layer-by-layer count of the arrangements avoiding one pattern."""
 
     def __init__(self, pattern: Sequence[int]):
         ranks = tuple(r - 1 for r in canonical_form(pattern))  # 0-based
-        k, nranks = len(ranks), max(ranks) + 1
-        top, bottom = nranks, -1
-
-        def window(t: int, r: int) -> tuple[int, int]:
-            pinned = ranks[:t]
-            return (max((s for s in pinned if s < r), default=bottom),
-                    min((s for s in pinned if s > r), default=top))
-
-        # needed[t]: ranks pinned by the first t letters that a later test
-        # reads; roles[t][r]: how letters t..k-1 read pin r
-        needed: list[set[int]] = [set() for _ in range(k + 1)]
-        roles: list[list[int]] = [[0] * (nranks + 2) for _ in range(k + 1)]
-        first = {r: ranks.index(r) for r in set(ranks)}
-        for t in range(k - 1, -1, -1):
-            r = ranks[t]
-            reads = ({r: _BOTH} if first[r] < t
-                     else dict(zip(window(t, r), (_LO, _HI))))
-            needed[t] = (needed[t + 1] | set(reads)) & set(ranks[:t])
-            for s, role in reads.items():
-                # pin s exists from the letter after its first one
-                for u in range(first.get(s, t) + 1, t + 1):
-                    roles[u][s] |= role
-        steps = []
-        for t, r in enumerate(ranks):
+        self.steps, reads = _plan(ranks)
+        # per t < k, the tests an embedding at t passes to live on:
+        # recur, (pin, letters of its rank still to match) per pinned rank
+        # that recurs; gaps, (lower pin, upper pin, unpinned ranks strictly
+        # between) per pair of neighbouring pins (None: no pin that side)
+        self.recur, self.gaps = [], []
+        for t, read in enumerate(reads[:-1]):
+            live = [r for r, _ in read]
             pinned, due = set(ranks[:t]), ranks[t:]
-            ends = [bottom, *sorted(needed[t]), top]
-            steps.append(_Step(
-                r, r in pinned, *window(t, r),
-                forget=tuple(sorted((needed[t] | {r}) - needed[t + 1])),
-                recur=tuple((s, due.count(s))
-                            for s in sorted(pinned & set(due))),
-                gaps=tuple(
-                    (a, b, free) for a, b in zip(ends, ends[1:])
-                    if (free := sum(s not in pinned
-                                    for s in range(a + 1, b))))))
-        self.steps = tuple(steps)
+            recurs = set(due)
+            self.recur.append(tuple((i, due.count(r))
+                                    for i, r in enumerate(live)
+                                    if r in recurs))
+            ends = [(None, -1), *enumerate(live), (None, max(ranks) + 1)]
+            self.gaps.append(tuple(
+                (a, b, free) for (a, lo), (b, hi) in zip(ends, ends[1:])
+                if (free := sum(r not in pinned
+                                for r in range(lo + 1, hi)))))
         # None where no pin is read one way only: dominance is then
         # equality, which the frozenset of a state already gives
-        self.roles = tuple(tuple(role) if _LO in role or _HI in role
-                           else None for role in roles)
+        roles = [tuple(role for _, role in read) for read in reads]
+        self.roles = tuple(role if _LO in role or _HI in role else None
+                           for role in roles)
         self.ordered = any(self.roles)
-        self.unpinned = (-1,) * nranks
-        # this layer's memos: avail -> (letters(avail), {embedding: moves},
-        # the empty embedding), and each union of moves -> its antichain
+        # this layer's memos: avail -> (letters(avail), {embedding: moves}),
+        # and each union of moves -> its antichain
         self.memo: dict[tuple, tuple] = {}
         self.antichains: dict[frozenset, frozenset] = {}
         self.work = CountWork(0, 0, 0)  # of the last count
@@ -295,8 +263,8 @@ class _Engine:
             else:
                 x = 2 * j + 1
                 afters.append(avail[:j] + avail[j + 1:])
-                recodes.append((*range(x), x - 1, x - 1, *range(x, 2 * m),
-                                -1))
+                recodes.append((*range(x), x - 1, x - 1,
+                                *range(x, 2 * m - 1)))
         return afters, recodes
 
     def moves(self, avail: tuple[int, ...], letters: tuple,
@@ -304,15 +272,16 @@ class _Engine:
         """Per available value a_j: None when appending it completes an
         occurrence through (t, pins), else the embeddings (t, pins) leaves
         after it, kept and grown, that can still complete."""
-        steps, k = self.steps, len(self.steps)
+        k = len(self.steps)
         afters, recodes = letters
         left = sum(avail) - 1
-        r, pinned, lo, hi, forget, _, _ = steps[t]
-        if pinned:
-            first = pins[r] >> 1  # the code is odd: dead pins are dropped
+        at, lo, hi, keep, _ = self.steps[t]
+        if at is not None:
+            first = pins[at] >> 1  # the code is odd: dead pins are dropped
             last = first + 1
         else:
-            first, last = (pins[lo] + 1) >> 1, pins[hi] >> 1
+            first = 0 if lo is None else (pins[lo] + 1) >> 1
+            last = len(avail) if hi is None else pins[hi] >> 1
         # the empty embedding is implicit in every state
         kept = ((t, pins),) if t and k - t <= left else ()
         grows = t + 1 < k and k - t - 1 <= left
@@ -324,25 +293,22 @@ class _Engine:
                     out.append(None)
                     continue
                 if grows:
-                    new = list(pins)
-                    new[r] = 2 * j + 1
-                    for s in forget:
-                        new[s] = -1
-                    embs = (*kept, (t + 1, tuple(new)))
+                    grown = tuple([(*pins, 2 * j + 1)[i] for i in keep])
+                    embs = (*kept, (t + 1, grown))
             if recode is not None:
                 embs = [(u, tuple(map(recode.__getitem__, code)))
                         for u, code in embs]
             live = []
             for u, code in embs:
-                _, _, _, _, _, recur, gaps = steps[u]
                 # a pinned rank that recurs needs enough copies of its value
-                if any(not code[s] & 1 or after[code[s] >> 1] < due
-                       for s, due in recur):
+                if any(not code[i] & 1 or after[code[i] >> 1] < due
+                       for i, due in self.recur[u]):
                     continue
                 # unpinned ranks need distinct available values in their
                 # window
-                if any(code[b] // 2 - (code[a] + 1) // 2 < free
-                       for a, b, free in gaps):
+                if any((len(after) if b is None else code[b] >> 1)
+                       - (0 if a is None else (code[a] + 1) >> 1) < free
+                       for a, b, free in self.gaps[u]):
                     continue
                 live.append((u, code))
             out.append(tuple(live))
@@ -354,11 +320,10 @@ class _Engine:
         completes no occurrence, in increasing j."""
         entry = self.memo.get(avail)
         if entry is None:
-            empty = (0, self.unpinned + (2 * len(avail) + 1, -1))
-            entry = self.memo[avail] = (self.letters(avail), {}, empty)
-        letters, known, empty = entry
+            entry = self.memo[avail] = (self.letters(avail), {})
+        letters, known = entry
         per = []
-        for emb in (empty, *embeddings):
+        for emb in ((0, ()), *embeddings):
             moves = known.get(emb)
             if moves is None:
                 moves = known[emb] = self.moves(avail, letters, *emb)

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import BudgetExceeded, ParseError
-from .words import _BOTH, _HI, _LO, Word, _antichain, _dominates
+from .words import _BOTH, _HI, _LO, Word, _antichain, _dominates, _plan
 
 
 @dataclass(frozen=True, order=True)
@@ -139,8 +139,9 @@ def matrix_contains(P: BinaryMatrix, Q: BinaryMatrix) -> bool:
 # c for column c.  Row t of the k x k permutation pattern has its 1 in column
 # sigma(t).  An embedding (t, pins) maps the pattern's first t rows to earlier
 # grid rows; pattern row i then needs a grid column strictly between the pins
-# of its nearest pinned neighbours in sigma order, so an embedding keeps, in
-# pattern-row order, only the pins that a later pattern row reads.  A pin read
+# of its nearest pinned neighbours in sigma order.  So an embedding keeps only
+# the pins that a later pattern row reads, in the layout `words._plan` gives
+# for sigma as ranks: by pattern column, so its pins increase.  A pin read
 # only as a lower end is better smaller, one read only as an upper end better
 # larger, and one read both ways must match exactly: at equal t an embedding at
 # least as good on every pin can follow every row the other can, so a state
@@ -162,45 +163,14 @@ def matrix_contains(P: BinaryMatrix, Q: BinaryMatrix) -> bool:
 # per row.  Successor states are built once per class, and pruned once per
 # distinct set of grown embeddings.
 
-class _Step(NamedTuple):
-    """What an embedding that has placed t pattern rows does next."""
-
-    lo: int | None          # index into pins of the lower end of row t's
-    hi: int | None          # window and of its upper end (None: grid edge)
-    keep: tuple[int, ...]   # indices into pins + (column of row t,) kept
-    role: int               # how later rows read row t's pin (0: never)
-
-
 class _RowEngine:
     """Value-to-go over (grid row, state) for one pattern and grid side."""
 
     def __init__(self, n: int, qcells: Sequence[Sequence[int]]):
         sigma = [row.index(1) for row in qcells]
-        k = len(sigma)
-        lo_of = [max((j for j in range(t) if sigma[j] < sigma[t]),
-                     key=sigma.__getitem__, default=None) for t in range(k)]
-        hi_of = [min((j for j in range(t) if sigma[j] > sigma[t]),
-                     key=sigma.__getitem__, default=None) for t in range(k)]
-        # roles[t]: pattern row j < t -> how rows t..k-1 read its pin
-        roles: list[dict[int, int]] = []
-        for t in range(k + 1):
-            role: dict[int, int] = {}
-            for i in range(t, k):
-                for j, bit in ((lo_of[i], _LO), (hi_of[i], _HI)):
-                    if j is not None and j < t:
-                        role[j] = role.get(j, 0) | bit
-            roles.append(role)
-        live = [sorted(role) for role in roles]
-        self.steps = tuple(
-            _Step(None if lo_of[t] is None else live[t].index(lo_of[t]),
-                  None if hi_of[t] is None else live[t].index(hi_of[t]),
-                  tuple(live[t].index(j) if j < t else len(live[t])
-                        for j in live[t + 1]),
-                  roles[t + 1].get(t, 0))
-            for t in range(k))
-        self.roles = tuple(tuple(roles[t][j] for j in live[t])
-                           for t in range(k + 1))
-        self.n, self.k = n, k
+        self.steps, reads = _plan(sigma)
+        self.roles = tuple(tuple(role for _, role in read) for read in reads)
+        self.n, self.k = n, len(sigma)
         self.memo: dict[tuple[int, tuple], int] = {}
         self.transitions = 0    # successors built, one per effect class
         self.prune_memo: dict[tuple, tuple] = {}

@@ -10,12 +10,18 @@ That relation is ordered containment of the position/value incidence
 graphs (one edge (i, w_i) per position), so one kernel, `_rows_contain`
 over one right-neighbour bitmask per left vertex, decides it here and
 decides graph containment in `bigraphs`.
+
+The module also holds the plan that both transfer engines, the counter
+in `counting` and the extremal search in `matrices`, share: `_plan` says
+how each pattern letter reads the values pinned by the letters before it
+and which pins live on, and `_antichain` keeps the partial embeddings no
+other one dominates.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ParseError
 
@@ -242,15 +248,63 @@ def _rows_contain(rows: list[int], pb: int,
     return place(0, 0)
 
 
-# --- dominance between partial embeddings ------------------------------------
+# --- the pattern plan and dominance between partial embeddings ---------------
 #
 # The row-transfer extremal engine and the frontier-state counter both keep
-# partial embeddings of a pattern as tuples of pins.  At equal progress, how
-# the rest of the pattern reads a pin decides which value of it is better: one
-# read only as a lower end is better smaller, one read only as an upper end
-# better larger, and any other must match exactly.
+# partial embeddings of a pattern, given as 0-based ranks (repeats allowed).
+# An embedding that has matched the first t letters keeps one pin per live
+# rank: a rank pinned by those letters that a later letter reads, in
+# increasing rank.  A later letter whose rank is pinned must take that pin's
+# value exactly; any other reads the nearest pinned ranks below and above it
+# as the lower and upper ends of its window.  At equal progress, how the rest
+# of the pattern reads a pin decides which value of it is better: one read
+# only as a lower end is better smaller, one read only as an upper end better
+# larger, and any other must match exactly.  `_plan` works this out once per
+# pattern for both engines.
 
 _LO, _HI, _BOTH = 1, 2, 3
+
+
+class _Step(NamedTuple):
+    """What an embedding that has matched t pattern letters does with
+    letter t; every index points into its live pins."""
+
+    at: int | None          # the pin of letter t's rank, if already pinned
+    lo: int | None          # else the pins of the nearest pinned ranks below
+    hi: int | None          # and above it (None: no such rank)
+    keep: tuple[int, ...]   # indices into pins + (letter t's value,) kept
+    role: int               # how later letters read letter t's rank (0: never)
+
+
+def _plan(ranks: Sequence[int]) -> tuple[tuple[_Step, ...], tuple]:
+    """One _Step per letter of the pattern `ranks`, and per t = 0..k the
+    live ranks after t letters as (rank, role) pairs in increasing rank."""
+    k = len(ranks)
+    # per letter, the pinned ranks it reads as (exact, lower end, upper end)
+    ends = []
+    for t, r in enumerate(ranks):
+        pinned = ranks[:t]
+        ends.append((r, None, None) if r in pinned else (
+            None, max((s for s in pinned if s < r), default=None),
+            min((s for s in pinned if s > r), default=None)))
+    # roles[t]: each rank pinned before letter t -> how letters t.. read it
+    roles: list[dict[int, int]] = [{} for _ in range(k + 1)]
+    later: dict[int, int] = {}
+    for t in range(k - 1, -1, -1):
+        for s, role in zip(ends[t], (_BOTH, _LO, _HI)):
+            if s is not None:
+                later[s] = later.get(s, 0) | role
+        pinned = set(ranks[:t])
+        roles[t] = {s: role for s, role in later.items() if s in pinned}
+    reads = tuple(tuple(sorted(role.items())) for role in roles)
+    steps = []
+    for t, r in enumerate(ranks):
+        index = {s: i for i, (s, _) in enumerate(reads[t])}
+        steps.append(_Step(*(index.get(s) for s in ends[t]),
+                           tuple(index.get(s, len(index))
+                                 for s, _ in reads[t + 1]),
+                           roles[t + 1].get(r, 0)))
+    return tuple(steps), reads
 
 
 def _dominates(a: tuple, b: tuple, roles: tuple[int, ...]) -> bool:
