@@ -219,14 +219,13 @@ class _Engine:
 
     def __init__(self, pattern: Sequence[int]):
         ranks = tuple(r - 1 for r in canonical_form(pattern))  # 0-based
-        self.steps, reads = _plan(ranks)
+        self.steps, lives, roles = _plan(ranks)
         # per t < k, the tests an embedding at t passes to live on:
         # recur, (pin, letters of its rank still to match) per pinned rank
         # that recurs; gaps, (lower pin, upper pin, unpinned ranks strictly
         # between) per pair of neighbouring pins (None: no pin that side)
         self.recur, self.gaps = [], []
-        for t, read in enumerate(reads[:-1]):
-            live = [r for r, _ in read]
+        for t, live in enumerate(lives[:-1]):
             pinned, due = set(ranks[:t]), ranks[t:]
             recurs = set(due)
             self.recur.append(tuple((i, due.count(r))
@@ -239,7 +238,6 @@ class _Engine:
                                 for r in range(lo + 1, hi)))))
         # None where no pin is read one way only: dominance is then
         # equality, which the frozenset of a state already gives
-        roles = [tuple(role for _, role in read) for read in reads]
         self.roles = tuple(role if _LO in role or _HI in role else None
                            for role in roles)
         self.ordered = any(self.roles)

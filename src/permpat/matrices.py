@@ -168,8 +168,7 @@ class _RowEngine:
 
     def __init__(self, n: int, qcells: Sequence[Sequence[int]]):
         sigma = [row.index(1) for row in qcells]
-        self.steps, reads = _plan(sigma)
-        self.roles = tuple(tuple(role for _, role in read) for read in reads)
+        self.steps, _, self.roles = _plan(sigma)
         self.n, self.k = n, len(sigma)
         self.memo: dict[tuple[int, tuple], int] = {}
         self.transitions = 0    # successors built, one per effect class

@@ -276,9 +276,9 @@ class _Step(NamedTuple):
     role: int               # how later letters read letter t's rank (0: never)
 
 
-def _plan(ranks: Sequence[int]) -> tuple[tuple[_Step, ...], tuple]:
-    """One _Step per letter of the pattern `ranks`, and per t = 0..k the
-    live ranks after t letters as (rank, role) pairs in increasing rank."""
+def _plan(ranks: Sequence[int]) -> tuple[tuple[_Step, ...], tuple, tuple]:
+    """One _Step per letter of the pattern `ranks`; per t = 0..k the live
+    ranks after t letters, in increasing rank; and per t their roles."""
     k = len(ranks)
     # per letter, the pinned ranks it reads as (exact, lower end, upper end)
     ends = []
@@ -296,15 +296,16 @@ def _plan(ranks: Sequence[int]) -> tuple[tuple[_Step, ...], tuple]:
                 later[s] = later.get(s, 0) | role
         pinned = set(ranks[:t])
         roles[t] = {s: role for s, role in later.items() if s in pinned}
-    reads = tuple(tuple(sorted(role.items())) for role in roles)
+    live = tuple(tuple(sorted(role)) for role in roles)
     steps = []
     for t, r in enumerate(ranks):
-        index = {s: i for i, (s, _) in enumerate(reads[t])}
+        index = {s: i for i, s in enumerate(live[t])}
         steps.append(_Step(*(index.get(s) for s in ends[t]),
                            tuple(index.get(s, len(index))
-                                 for s, _ in reads[t + 1]),
+                                 for s in live[t + 1]),
                            roles[t + 1].get(r, 0)))
-    return tuple(steps), reads
+    return tuple(steps), live, tuple(
+        tuple(role[s] for s in sorted(role)) for role in roles)
 
 
 def _dominates(a: tuple, b: tuple, roles: tuple[int, ...]) -> bool:

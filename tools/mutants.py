@@ -13,8 +13,7 @@ checks passes.  A check that fails without being listed is reported but
 does not fail the sweep.  Uses only the standard library; run it from
 anywhere as
 
-    python tools/mutants.py            # every entry
-    python tools/mutants.py 1 4        # entries 1 and 4 only
+    python tools/mutants.py
 """
 from __future__ import annotations
 
@@ -101,11 +100,9 @@ def run(mutant: Mutant) -> list[str]:
     return [f"{name} passed" for name in mutant.fails if name not in failed]
 
 
-def main(argv: list[str]) -> int:
-    picked = [int(a) for a in argv] or range(1, len(MUTANTS) + 1)
+def main() -> int:
     survived = 0
-    for i in picked:
-        mutant = MUTANTS[i - 1]
+    for i, mutant in enumerate(MUTANTS, 1):
         print(f"[{i}] {mutant.what} ({mutant.file})", flush=True)
         problems = run(mutant)
         for problem in problems:
@@ -113,9 +110,9 @@ def main(argv: list[str]) -> int:
         if not problems:
             print("    caught")
         survived += bool(problems)
-    print(f"{len(picked) - survived}/{len(picked)} mutants caught")
+    print(f"{len(MUTANTS) - survived}/{len(MUTANTS)} mutants caught")
     return 1 if survived else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
