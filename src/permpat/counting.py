@@ -19,7 +19,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ParseError
@@ -219,28 +218,10 @@ class _Engine:
 
     def __init__(self, pattern: Sequence[int]):
         ranks = tuple(r - 1 for r in canonical_form(pattern))  # 0-based
-        self.steps, lives, roles = _plan(ranks)
-        # per t < k, the tests an embedding at t passes to live on:
-        # recur, (pin, letters of its rank still to match) per pinned rank
-        # that recurs; gaps, (lower pin, upper pin, unpinned ranks strictly
-        # between) per pair of neighbouring pins (None: no pin that side)
-        self.recur, self.gaps = [], []
-        for t, live in enumerate(lives[:-1]):
-            pinned, due = set(ranks[:t]), ranks[t:]
-            recurs = set(due)
-            self.recur.append(tuple((i, due.count(r))
-                                    for i, r in enumerate(live)
-                                    if r in recurs))
-            ends = [(None, -1), *enumerate(live), (None, max(ranks) + 1)]
-            self.gaps.append(tuple(
-                (a, b, free) for (a, lo), (b, hi) in zip(ends, ends[1:])
-                if (free := sum(r not in pinned
-                                for r in range(lo + 1, hi)))))
-        # None where no pin is read one way only: dominance is then
-        # equality, which the frozenset of a state already gives
-        self.roles = tuple(role if _LO in role or _HI in role else None
-                           for role in roles)
-        self.ordered = any(self.roles)
+        self.steps, self.roles = _plan(ranks)
+        # where no pin is read one way only, dominance is equality, which
+        # the frozenset of a state already gives
+        self.ordered = any(_LO in role or _HI in role for role in self.roles)
         # this layer's memos: avail -> (letters(avail), {embedding: moves}),
         # and each union of moves -> its antichain
         self.memo: dict[tuple, tuple] = {}
@@ -270,10 +251,11 @@ class _Engine:
         """Per available value a_j: None when appending it completes an
         occurrence through (t, pins), else the embeddings (t, pins) leaves
         after it, kept and grown, that can still complete."""
-        k = len(self.steps)
+        steps = self.steps
+        k = len(steps)
         afters, recodes = letters
         left = sum(avail) - 1
-        at, lo, hi, keep, _ = self.steps[t]
+        at, lo, hi, keep = steps[t][:4]
         if at is not None:
             first = pins[at] >> 1  # the code is odd: dead pins are dropped
             last = first + 1
@@ -300,13 +282,13 @@ class _Engine:
             for u, code in embs:
                 # a pinned rank that recurs needs enough copies of its value
                 if any(not code[i] & 1 or after[code[i] >> 1] < due
-                       for i, due in self.recur[u]):
+                       for i, due in steps[u].recur):
                     continue
-                # unpinned ranks need distinct available values in their
-                # window
+                # the room rule: unpinned ranks need distinct available
+                # values in their window
                 if any((len(after) if b is None else code[b] >> 1)
                        - (0 if a is None else (code[a] + 1) >> 1) < free
-                       for a, b, free in self.gaps[u]):
+                       for a, b, free in steps[u].gaps):
                     continue
                 live.append((u, code))
             out.append(tuple(live))
@@ -342,9 +324,8 @@ class _Engine:
                 levels.setdefault(t, []).append(pins)
             kept = []
             for t, level in levels.items():
-                roles = self.roles[t]
-                if roles is not None and len(level) > 1:
-                    level = _antichain(level, roles)
+                if len(level) > 1:
+                    level = _antichain(level, self.roles[t])
                 kept.extend((t, pins) for pins in level)
             known = self.antichains[live] = frozenset(kept)
         return known
@@ -371,12 +352,6 @@ class _Engine:
         return sum(layer.values())
 
 
-@lru_cache(maxsize=128)
-def _engine(pattern: tuple[int, ...]) -> _Engine:
-    """One engine per pattern, reused across the counts of a table."""
-    return _Engine(pattern)
-
-
 def count_multiset_avoiders(spec: MultisetSpec, pattern: Word, *,
                             workers: int = 1) -> CountRecord:
     """Exact number of arrangements of the multiset avoiding the pattern.
@@ -389,7 +364,7 @@ def count_multiset_avoiders(spec: MultisetSpec, pattern: Word, *,
     if workers < 1:
         raise ParseError(f"workers must be >= 1, got {workers}")
     total = _budgeted_total(spec)
-    engine = _engine(pattern.entries)
+    engine = _Engine(pattern.entries)
     count = engine.count(spec.multiplicities)
     return CountRecord(spec=spec, pattern=pattern, count=count, total=total,
                        work=engine.work)

@@ -147,9 +147,11 @@ def matrix_contains(P: BinaryMatrix, Q: BinaryMatrix) -> bool:
 # least as good on every pin can follow every row the other can, so a state
 # keeps only the antichain of undominated embeddings (the empty embedding is
 # implicit).  It also drops the embeddings that the rows left cannot
-# complete, and those whose every growth is dominated one level up.  A grid
-# row advances an embedding by at most one pattern row, since pattern rows map
-# to distinct grid rows.
+# complete, the growths that break the plan's room rule (there are too few
+# columns for the pattern columns left between two pins), and the embeddings
+# whose every growth is dominated one level up.  A grid row advances an
+# embedding by at most one pattern row, since pattern rows map to distinct
+# grid rows.
 #
 # A row reaches the next state only through each growing embedding's hits in
 # its window, and of those the dominance rule keeps all for a new pin read both
@@ -168,14 +170,14 @@ class _RowEngine:
 
     def __init__(self, n: int, qcells: Sequence[Sequence[int]]):
         sigma = [row.index(1) for row in qcells]
-        self.steps, _, self.roles = _plan(sigma)
+        self.steps, self.roles = _plan(sigma)
         self.n, self.k = n, len(sigma)
         self.memo: dict[tuple[int, tuple], int] = {}
         self.transitions = 0    # successors built, one per effect class
         self.prune_memo: dict[tuple, tuple] = {}
         # one copy of each successor state and of each grown embedding
         self.shared: dict[tuple, tuple] = {}
-        self.growth_memo: dict[tuple[int, tuple], list] = {}
+        self.growth_memo: dict[tuple[int, tuple], tuple] = {}
 
     def window(self, t: int, pins: tuple[int, ...]) -> int:
         """Columns where pattern row t may go next, as a bitmask."""
@@ -196,7 +198,7 @@ class _RowEngine:
     def prune(self, grown: dict[int, set]) -> tuple:
         """The state made of the embeddings in `grown` (level -> pins) that
         can still matter: each level's antichain, less the embeddings with
-        an empty window and those whose every growth is dominated by an
+        no growth and those whose every growth is dominated by an
         embedding one level up (which lives at least as long)."""
         levels = []
         upper: list = []
@@ -205,22 +207,32 @@ class _RowEngine:
             kept = [pins for pins in _antichain(grown.get(t, ()), self.roles[t])
                     if any(not any(_dominates(other, grow, roles)
                                    for other in upper)
-                           for grow in self.growths(t, pins))]
+                           for grow in self.growths(t, pins)[1])]
             levels.append([(t, pins) for pins in kept])
             upper = kept
         return tuple(emb for level in reversed(levels) for emb in level)
 
-    def growths(self, t: int, pins: tuple) -> list:
-        """The undominated pins an embedding can grow into with its next
-        pattern row; at the last level, [()] when its window is nonempty."""
+    def growths(self, t: int, pins: tuple) -> tuple[dict, list]:
+        """Per column of its window, the embedding (t, pins) grows into with
+        pattern row t, where that keeps the plan's room rule; and the
+        undominated pins among them (at the last level, [()] or [])."""
         key = (t, pins)
         cached = self.growth_memo.get(key)
         if cached is None:
-            step = self.steps[t]
-            window = self.window(t, pins)
-            cached = self.growth_memo[key] = [
-                tuple([(*pins, x)[i] for i in step.keep])
-                for x in (_best_columns(window, step.role) if window else ())]
+            keep = self.steps[t].keep
+            gaps = self.steps[t + 1].gaps if t + 1 < self.k else ()
+            window, grows = self.window(t, pins), {}
+            for c in range(window.bit_length()):
+                if window >> c & 1:
+                    grow = tuple([(*pins, c)[i] for i in keep])
+                    if all((self.n if b is None else grow[b])
+                           - (0 if a is None else grow[a] + 1) >= free
+                           for a, b, free in gaps):
+                        grows[c] = self.shared.setdefault((t + 1, grow),
+                                                          (t + 1, grow))
+            cached = self.growth_memo[key] = (grows, [
+                grows[c][1] for c in _best_columns(sum(1 << c for c in grows),
+                                                   self.steps[t].role)])
         return cached
 
     def value(self, r: int, state: tuple) -> int:
@@ -286,29 +298,25 @@ class _RowClasses:
         self.carried = frozenset(emb for emb in state
                                  if emb[0] + rows_after >= k)
         # per embedding that may grow: the level it grows into, how its new
-        # pin is read, and the embedding it grows into per column, for the
-        # free columns where no carried embedding dominates the growth
-        # (which prune would drop); touch[c] lists those that column c grows
+        # pin is read, and its growth per free column that keeps the room
+        # rule where no carried embedding dominates it (which prune would
+        # drop); touch[c] lists those that column c grows
         self.growing = []
         self.first = []         # lowest column of each one's window, a mask
         touch: list[list] = [[] for _ in range(n)]
         for t, pins in ((0, ()), *state):
-            window = engine.window(t, pins) & free
-            if not window or not k - rows_after <= t + 1 < k:
+            if not k - rows_after <= t + 1 < k:
                 continue
-            step, roles = steps[t], engine.roles[t + 1]
+            role, roles = steps[t].role, engine.roles[t + 1]
             rivals = [other for level, other in self.carried if level == t + 1]
             grows = {}
-            for c in range(n):
-                if window >> c & 1:
-                    grow = tuple([(*pins, c)[i] for i in step.keep])
-                    if not any(_dominates(other, grow, roles)
-                               for other in rivals):
-                        touch[c].append((len(self.growing), step.role))
-                        grows[c] = engine.shared.setdefault((t + 1, grow),
-                                                            (t + 1, grow))
+            for c, emb in engine.growths(t, pins)[0].items():
+                if free >> c & 1 and not any(_dominates(other, emb[1], roles)
+                                             for other in rivals):
+                    touch[c].append((len(self.growing), role))
+                    grows[c] = emb
             if grows:
-                self.growing.append((t + 1, step.role, grows))
+                self.growing.append((t + 1, role, grows))
                 self.first.append(1 << min(grows))
         self.touch = touch
         self.cols = [c for c in range(n) if free >> c & 1]
@@ -420,11 +428,11 @@ def _by_weight(weights: dict) -> list:
 
 
 def _best_columns(mask: int, role: int) -> list[int]:
-    """The columns of a nonempty mask that a new pin read as `role` may
-    take without being dominated: all of them for a pin read both ways,
-    else the highest for an upper end and the lowest otherwise (a pin
-    never read is kept nowhere, so any column will do)."""
-    if role == _BOTH:
+    """The columns of a mask that a new pin read as `role` may take
+    without being dominated: all of them for a pin read both ways, else
+    the highest for an upper end and the lowest otherwise (a pin never
+    read is kept nowhere, so any column will do)."""
+    if role == _BOTH or not mask:
         return [c for c in range(mask.bit_length()) if mask >> c & 1]
     if role == _HI:
         return [mask.bit_length() - 1]
@@ -456,14 +464,14 @@ class ExtremalRecord:
 
 
 # Size guards, keyed by pattern side length, set from the slowest pattern of
-# each side (2-vCPU VM, Python 3.11, times on a quiet host; a busy one took up
-# to twice as long).  The largest admitted sizes take about 4.5 s (2x2,
-# n = 100), 4.5 s (3x3, n = 10, patterns 213 and 312), 5 s (4x4, n = 7,
-# 2413 and 3142) and 0.2 s (5x5, n = 6); the first refused ones about 4.5 s,
-# 13.5 s, 80 s and 15 s (51423).  A 1x1 pattern needs no search and takes
-# the fallback cap.
-_SIDE_LIMIT = {2: 100, 3: 10, 4: 7}
-_FALLBACK_LIMIT = 6
+# each side (2-vCPU VM, Python 3.11; 2x2 on a quiet host, the rest on a busy
+# one).  The largest admitted sizes take about 4.5 s (2x2, n = 100), 2.3 s
+# (3x3, n = 10, 213), 1.1 s (4x4, n = 7, 2413), 0.4 s (5x5, n = 7, 24153) and
+# 0.015 s (6x6, n = 7); the first refused ones 4.5 s, 9 s, 15-17 s and 32-41 s
+# (42513, 41523).  Sides past 3 share the fallback cap, and so does a 1x1
+# pattern, which needs no search.
+_SIDE_LIMIT = {2: 100, 3: 10}
+_FALLBACK_LIMIT = 7
 
 # A table runs one search per n.  2x2 time grows only about as n^3, so the
 # 2x2 table to n = 100 costs about 25 times its last search; it is capped

@@ -43,7 +43,7 @@ PEAK_STATES = (("132", (1,) * 10, 132, 1535), ("1234", (1,) * 10, 110, 1532),
                ("1342", (1,) * 10, 434, 4777), ("1212", (4, 4, 4), 111, 1110))
 # (pattern, n, most memoized states and most transitions of the extremal
 # search)
-EXTREMAL_WORK = (("3142", 6, 638, 5901), ("213", 8, 1049, 29557),
+EXTREMAL_WORK = (("3142", 6, 295, 1395), ("213", 8, 707, 12713),
                  ("12", 14, 183, 1289))
 
 

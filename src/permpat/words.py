@@ -13,12 +13,13 @@ decides graph containment in `bigraphs`.
 
 The module also holds the plan that both transfer engines, the counter
 in `counting` and the extremal search in `matrices`, share: `_plan` says
-how each pattern letter reads the values pinned by the letters before it
-and which pins live on, and `_antichain` keeps the partial embeddings no
-other one dominates.
+how each pattern letter reads the values pinned by the letters before it,
+which pins live on, and what room a partial embedding needs to complete,
+and `_antichain` keeps the partial embeddings no other one dominates.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple, Sequence
@@ -256,29 +257,33 @@ def _rows_contain(rows: list[int], pb: int,
 # rank: a rank pinned by those letters that a later letter reads, in
 # increasing rank.  A later letter whose rank is pinned must take that pin's
 # value exactly; any other reads the nearest pinned ranks below and above it
-# as the lower and upper ends of its window.  At equal progress, how the rest
-# of the pattern reads a pin decides which value of it is better: one read
-# only as a lower end is better smaller, one read only as an upper end better
-# larger, and any other must match exactly.  `_plan` works this out once per
-# pattern for both engines.
+# as the lower and upper ends of its window.  The embedding can complete only
+# while the unpinned ranks between neighbouring pins (or a pin and an end) fit
+# between them, the room rule, and recurring ranks have copies left.  At equal
+# progress, how the rest of the pattern reads a pin decides which value of it
+# is better: one read only as a lower end is better smaller, one read only as
+# an upper end better larger, and any other must match exactly.  `_plan` works
+# this out once per pattern for both engines.
 
 _LO, _HI, _BOTH = 1, 2, 3
 
 
 class _Step(NamedTuple):
-    """What an embedding that has matched t pattern letters does with
-    letter t; every index points into its live pins."""
+    """What an embedding that has matched t pattern letters needs to
+    complete and does with letter t; every index points into its live pins."""
 
     at: int | None          # the pin of letter t's rank, if already pinned
     lo: int | None          # else the pins of the nearest pinned ranks below
     hi: int | None          # and above it (None: no such rank)
     keep: tuple[int, ...]   # indices into pins + (letter t's value,) kept
     role: int               # how later letters read letter t's rank (0: never)
+    recur: tuple            # (pin, letters of its rank due) if rank recurs
+    gaps: tuple             # (pin below, pin above, ranks unpinned between)
 
 
-def _plan(ranks: Sequence[int]) -> tuple[tuple[_Step, ...], tuple, tuple]:
-    """One _Step per letter of the pattern `ranks`; per t = 0..k the live
-    ranks after t letters, in increasing rank; and per t their roles."""
+def _plan(ranks: Sequence[int]) -> tuple[tuple[_Step, ...], tuple]:
+    """One _Step per letter of the pattern `ranks`, and per t = 0..k the
+    roles of the live ranks after t letters, in increasing rank."""
     k = len(ranks)
     # per letter, the pinned ranks it reads as (exact, lower end, upper end)
     ends = []
@@ -296,15 +301,22 @@ def _plan(ranks: Sequence[int]) -> tuple[tuple[_Step, ...], tuple, tuple]:
                 later[s] = later.get(s, 0) | role
         pinned = set(ranks[:t])
         roles[t] = {s: role for s, role in later.items() if s in pinned}
-    live = tuple(tuple(sorted(role)) for role in roles)
-    steps = []
+    live = [sorted(role) for role in roles]
+    due, pinned, steps = Counter(ranks), set(), []
     for t, r in enumerate(ranks):
         index = {s: i for i, s in enumerate(live[t])}
-        steps.append(_Step(*(index.get(s) for s in ends[t]),
-                           tuple(index.get(s, len(index))
-                                 for s in live[t + 1]),
-                           roles[t + 1].get(r, 0)))
-    return tuple(steps), live, tuple(
+        sides = [(None, -1), *enumerate(live[t]), (None, max(ranks) + 1)]
+        steps.append(_Step(
+            *(index.get(s) for s in ends[t]),
+            tuple(index.get(s, len(index)) for s in live[t + 1]),
+            roles[t + 1].get(r, 0),
+            tuple((i, due[s]) for i, s in enumerate(live[t]) if due[s]),
+            tuple((a, b, free) for (a, lo), (b, hi) in zip(sides, sides[1:])
+                  if (free := sum(s not in pinned
+                                  for s in range(lo + 1, hi))))))
+        due[r] -= 1
+        pinned.add(r)
+    return tuple(steps), tuple(
         tuple(role[s] for s in sorted(role)) for role in roles)
 
 
@@ -316,8 +328,9 @@ def _dominates(a: tuple, b: tuple, roles: tuple[int, ...]) -> bool:
 
 
 def _antichain(level, roles: tuple[int, ...]) -> list:
-    """The pins of one level that no other pins of it dominate, sorted."""
-    if len(level) <= 1 or roles == (_BOTH,):
+    """The pins of one level that no other pins of it dominate, sorted.
+    Where no pin is read one way only, dominance is equality."""
+    if len(level) <= 1 or _LO not in roles and _HI not in roles:
         return sorted(level)
     if roles == (_LO,):
         return [min(level)]

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -130,7 +130,7 @@ class TestExtremal:
         with pytest.raises(BudgetExceeded):
             extremal_f(8, perm_to_matrix(W("1234")))
         with pytest.raises(BudgetExceeded):
-            extremal_f(7, perm_to_matrix(W("12345")))
+            extremal_f(8, perm_to_matrix(W("12345")))
         # an explicit override moves the guard either way
         with pytest.raises(BudgetExceeded):
             extremal_f(5, perm_to_matrix(W("123")), max_n=4)
@@ -199,13 +199,16 @@ def per_row_successor(engine, state, rows_after, row):
 
 
 class TestEffectClasses:
-    PATTERNS = ("12", "21", "123", "132", "213", "231", "312", "321")
+    # 4x4 patterns are the smallest where the room rule between two pins
+    # asks more than a nonempty window for the next pattern row
+    PATTERNS = ("12", "21", "123", "132", "213", "231", "312", "321",
+                *("".join(p) for p in permutations("1234")))
 
     def test_classes_match_the_per_row_successor(self):
-        # every state the search reaches, for every 2x2 and 3x3 pattern at
-        # n <= 5: each allowed row leads where its class leads, each class
-        # weighs as much as its heaviest row, and the classes of a row's
-        # left and right parts join into the row's class
+        # every state the search reaches, for every pattern of side 2 to 4
+        # at n <= 5: each allowed row leads where its class leads, each
+        # class weighs as much as its heaviest row, and the classes of a
+        # row's left and right parts join into the row's class
         for text in self.PATTERNS:
             for n in range(1, 6):
                 engine = matrices._RowEngine(n, perm_to_matrix(W(text)).cells)

@@ -50,14 +50,21 @@ MUTANTS = (
            "zip(ends[t], (_LO, _LO, _HI))",
            ("stirling:engine-exhaustive",
             "stirling:multiset-count-symmetry")),
+    Mutant("the plan counts one rank too many in a gap",
+           "words.py", "range(lo + 1, hi)", "range(lo, hi + 1)",
+           ("catalan:catalan-agreement", "stirling:engine-exhaustive",
+            "matrix:internal-checks")),
     Mutant("the counter skips its gaps filter",
-           "counting.py", "for a, b, free in self.gaps[u]):",
+           "counting.py", "for a, b, free in steps[u].gaps):",
            "for a, b, free in ()):",
            ("stirling:engine-work",)),
     Mutant("the counter keeps dominated embeddings",
            "counting.py", "if len(live) < 2 or not self.ordered:",
            "if True:",
            ("stirling:engine-work",)),
+    Mutant("the extremal search skips the room rule",
+           "matrices.py", "for a, b, free in gaps):", "for a, b, free in ()):",
+           ("matrix:engine-work",)),
     Mutant("prune drops the dominated-one-level-up test",
            "matrices.py", "for other in upper)", "for other in ())",
            ("matrix:engine-work",)),
