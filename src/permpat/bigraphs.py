@@ -15,9 +15,12 @@ Ordered containment runs the kernel that also decides word containment,
 avoiding graphs keeps one mutable list of rows while it walks the
 down-set of avoiding edge sets, setting and clearing one bit per
 extension.  The walk adds edges in increasing bit order, so a new edge
-can only carry the pattern's last letter: each child is tested with
-that letter's value pinned to the new edge's column, over the rows
-above it.
+can only carry the pattern's last letter, with the other letters in the
+rows above it.  All children in later rows see the same rows above, so
+each avoider carries one closed-column mask: the columns where an edge
+in a later row would complete an occurrence.  One pinned kernel search
+per column still open builds it, and each later-row child is then one
+bit test.
 """
 from __future__ import annotations
 
@@ -165,11 +168,13 @@ def fiber_size(Gp: BipartiteGraph, spec: MultisetSpec) -> int:
     return out
 
 
-# Largest n*m*n the census walks.  On Python 3.11.7 (2 vCPUs) the slowest
-# admitted censuses take 0.57 s (12 on (2,6)), 0.61 s (123 and 213 on
-# (3,2)) and 0.25 s (the slowest 4-patterns on (4,1)); the first refused
-# ones take 129 s (12345 on (5,1), 25 cells), 130 s (123 on (3,3)) and
-# 4.2 s (12 on (2,7)).
+# Largest n*m*n the census walks.  On Python 3.11.7 (2 vCPUs, busy host)
+# the slowest admitted censuses take 0.15 s (12 and 21 on (2,6)), 0.19 s
+# (the slowest 3-patterns on (3,2)) and 0.08 s (the slowest 4-patterns on
+# (4,1)).  Past the guard the work follows the avoiders, not the cells:
+# 12345 on (5,1) (25 cells) visits 2^20 * 31 = 32,505,856 avoiders in
+# 25 s, 123 and 321 on (3,3) (27 cells) take 21-24 s, and 12 on (2,7)
+# (28 cells) takes 0.7 s.
 DEFAULT_CENSUS_CELLS = 24
 
 
@@ -184,15 +189,19 @@ def census_avoiding_graphs(n: int, m: int, pattern: Word) -> int:
     highest one and recurses only into children that avoid.  A pattern
     longer than n fits into no graph, so all 2^(n*m*n) graphs avoid it.
 
-    Each child is tested only for the occurrences it adds.  A child that
-    sets bit (u, j) (0-based) on an avoiding parent has rows u+1.. empty,
-    so an occurrence it adds maps some pattern letter onto (u, j), and
-    every later letter would need a nonempty row after u: that letter is
-    the last one, p_k.  So the child contains the pattern exactly when
-    rows[:u] contain its first k-1 letters with the value p_k pinned to
-    column j, one `_rows_contain` call with that pin.  It cannot when
-    there are fewer than k-1 rows above u, or fewer than p_k - 1 columns
-    below j or k - p_k above it; those children avoid without a search.
+    A child that sets bit (v, c) (0-based) on an avoider has rows v+1..
+    empty, so an occurrence it adds maps the pattern's last letter onto
+    (v, c), and the first k-1 letters into rows[:v].  Every child in a
+    row v > u, where u holds the avoider's highest edge, sees the same
+    rows[:v] = rows[:u+1], since the rows between are empty.  So each
+    avoider carries one mask, `shut`: bit j is set when rows[:u+1]
+    contain the first k-1 letters with the last letter's value pinned to
+    column j.  A later-row child (v, c) avoids exactly when bit c is
+    clear.  A child (u, c) in the avoider's own row sees rows[:u], which
+    did not change, so it is judged by the mask the avoider came in with.
+    The closure starts from that mask, which only grows down the tree,
+    and runs one pinned `_rows_contain` search for each column still
+    open in `room`: the columns with p_k - 1 below and k - p_k above.
     """
     if n < 1 or m < 1:
         raise ParseError("n and m must be >= 1")
@@ -207,23 +216,40 @@ def census_avoiding_graphs(n: int, m: int, pattern: Word) -> int:
         return 1 << cells
     nbrs = _neighbour_lists(pattern_graph(pattern))
     head, last = nbrs[:-1], nbrs[-1][0]
-    rows = [0] * (n * m)
+    room = ((1 << (n - k + 1)) - 1) << last
+    bottom = n * m - 1
+    rows = [0] * (bottom + 1)
 
-    def avoids(u: int, j: int) -> bool:
-        return (u < k - 1 or j < last or k - 1 - last > n - 1 - j
-                or _rows_contain(rows[:u], n, head, k, ((last, j),)) is None)
+    def closed(u: int, shut: int) -> int:
+        """shut plus every column of room that rows[:u+1] close."""
+        above = rows[:u + 1]
+        for j in range(n):
+            if ((room & ~shut) >> j & 1 and _rows_contain(
+                    above, n, head, k, ((last, j),)) is not None):
+                shut |= 1 << j
+        return shut
 
-    def walk(start: int) -> int:
-        found = 0
-        for bit in range(start, cells):
-            u, j = divmod(bit, n)
-            if avoids(u, j):
-                rows[u] |= 1 << j
-                found += 1 + walk(bit + 1)
-                rows[u] ^= 1 << j
+    def walk(u: int, j: int, shut: int) -> int:
+        """Count the avoider whose highest edge is (u, j) and all its
+        extensions by higher bits; shut is the mask of rows[:u]."""
+        found = 1
+        for c in range(j + 1, n):
+            if not shut >> c & 1:
+                rows[u] |= 1 << c
+                found += walk(u, c, shut)
+                rows[u] ^= 1 << c
+        if u == bottom:  # no later row to close for
+            return found
+        shut = closed(u, shut)
+        for v in range(u + 1, bottom + 1):
+            for c in range(n):
+                if not shut >> c & 1:
+                    rows[v] = 1 << c
+                    found += walk(v, c, shut)
+            rows[v] = 0
         return found
 
-    return 1 + walk(0)
+    return walk(-1, n - 1, 0)
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,8 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Iterator
 
-from .bigraphs import (BipartiteGraph, adjacency, bounds,
-                       census_avoiding_graphs, contract, fiber_size,
+from .bigraphs import (DEFAULT_CENSUS_CELLS, BipartiteGraph, adjacency,
+                       bounds, census_avoiding_graphs, contract, fiber_size,
                        graph_of_matrix, graph_of_word, ordered_contains,
                        ordered_contains_bruteforce, pattern_graph)
 from .counting import (catalan, count_avoiders, count_multiset_avoiders,
@@ -704,29 +704,29 @@ def _suite_proof_chain(rng: random.Random) -> Iterator[Check]:
                  "on (1,1), (1,2), (2,1), (2,2), (2,3), (3,1) vs an "
                  "all-masks scan with all-injections containment")
 
-    # a graph on ([L],[2]) avoids 12 iff no right-2 edge lies below a
-    # right-1 edge.  Fix the first left vertex k with a right-1 edge, or
-    # none: every left vertex then has exactly one free edge (to right 2
-    # up to k, to right 1 after it), so each of the L + 1 choices gives
-    # 2^L graphs
-    form_bad = [(m, pat) for m in range(1, 7) for pat in ("12", "21")
-                if census_avoiding_graphs(2, m, Word.parse(pat))
-                != (2 * m + 1) * 4 ** m]
-    yield _check("census-closed-form", form_bad,
-                 "12 and 21 on (2,m) give (2m+1) 4^m for m <= 6")
-
-    # on (n,1) both classes have n vertices, so the only injections are
-    # the identities, and a graph contains a length-n pattern exactly when
-    # it holds the pattern's n edges: 2^(n^2) - 2^(n^2-n) graphs avoid it.
-    # The 4-patterns end on each value 1..4
-    full = [(len(p), p) for p in SMALL_PATTERNS]
-    full += [(4, p) for p in ("2341", "1342", "1243", "1234")]
-    full_bad = [(n, p) for n, p in full
-                if census_avoiding_graphs(n, 1, Word.parse(p))
-                != 2 ** (n * n) - 2 ** (n * n - n)]
-    yield _check("census-full-length", full_bad,
-                 "every pattern of length n <= 3, and 2341, 1342, 1243, "
-                 "1234, on (n,1) give 2^(n^2) - 2^(n^2-n)")
+    # when the pattern's length k equals n, the right classes match only
+    # through the identity, so a graph on ([km],[k]) contains p exactly
+    # when some rows r_1 < .. < r_k hold the edges (r_i, p_i).  A greedy
+    # scan down the rows decides that: after matching t letters, a row
+    # matches letter t+1 when it holds (r, p_{t+1}).  Before the scan
+    # completes, each row advances it with 2^(k-1) masks (bit p_{t+1} set,
+    # any other bits) and leaves it with the other 2^(k-1).  So an avoider
+    # is a choice of the j < k rows that advance, and 2^(k-1) masks per
+    # row: census(p, k, m) = 2^((k-1)km) * sum_{j<k} C(km, j).  At k = 2
+    # this is (2m+1) 4^m, and at m = 1 it is 2^(k^2) - 2^(k^2-k)
+    full_bad, full_cases = [], 0
+    for k in range(1, 5):
+        for m in range(1, DEFAULT_CENSUS_CELLS // (k * k) + 1):
+            want = 2 ** ((k - 1) * k * m) * sum(
+                math.comb(k * m, j) for j in range(k))
+            for p in permutations(range(1, k + 1)):
+                full_cases += 1
+                if census_avoiding_graphs(k, m, Word(p)) != want:
+                    full_bad.append((k, m, "".join(map(str, p))))
+    yield _check("census-full-width", full_bad,
+                 f"{full_cases} censuses: every k-pattern on (k,m) within "
+                 f"{DEFAULT_CENSUS_CELLS} cells, k <= 4, give "
+                 "2^((k-1)km) sum_{j<k} C(km, j)")
 
     chain_sizes = ((2, 1), (2, 2), (3, 1), (2, 3), (2, 4), (3, 2))
     censuses = {(n, m, pat): census_avoiding_graphs(n, m, Word.parse(pat))

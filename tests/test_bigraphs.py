@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import permutations
 
 import pytest
 
@@ -8,7 +9,7 @@ from permpat.bigraphs import (MAX_BOUND_DIGITS, BipartiteGraph, Power,
                               contract, fiber_size, graph_of_word,
                               ordered_contains, pattern_graph)
 from permpat.errors import BudgetExceeded, ParseError
-from permpat.words import MultisetSpec, Word
+from permpat.words import MultisetSpec, Word, complement, reverse
 
 W = Word.parse
 
@@ -149,6 +150,25 @@ class TestFibers:
 class TestCensus:
     def test_trivial_one_vertex(self):
         assert census_avoiding_graphs(1, 1, W("12")) == 2
+
+    def test_one_letter_pattern(self):
+        # any edge is an occurrence of 1, so only the empty graph avoids
+        # it; the root's closure is the only place that shuts its columns
+        for n, m in ((1, 1), (2, 3), (4, 1)):
+            assert census_avoiding_graphs(n, m, W("1")) == 1
+
+    def test_symmetric_images_agree(self):
+        # reversing the rows or the columns of a graph maps the avoiders
+        # of p onto those of its reverse or complement.  The walk sets
+        # bits in one order, so each image runs a different search
+        for n, m in ((4, 1), (3, 2)):
+            census = {p: census_avoiding_graphs(n, m, Word(p))
+                      for p in permutations(range(1, n + 1))}
+            for p, want in census.items():
+                word = Word(p)
+                for image in (reverse(word), complement(word),
+                              reverse(complement(word))):
+                    assert census[image.entries] == want, (n, m, p, image)
 
     def test_pattern_longer_than_n_fits_nowhere(self):
         # 2^24 graphs, all avoiding, counted without walking them

@@ -72,6 +72,18 @@ MUTANTS = (
            "matrices.py", "if weight + bound <= best:",
            "if weight + bound < best - 1:",
            ("matrix:engine-work",)),
+    Mutant("the census room is one column short",
+           "bigraphs.py", "n - k + 1", "n - k",
+           ("proof-chain:census-exhaustive",
+            "proof-chain:census-full-width")),
+    Mutant("the census closure skips the avoider's own row",
+           "bigraphs.py", "rows[:u + 1]", "rows[:u]",
+           ("proof-chain:census-exhaustive",
+            "proof-chain:census-full-width")),
+    Mutant("later rows skip the census closure",
+           "bigraphs.py", "shut = closed(u, shut)", "pass",
+           ("proof-chain:census-exhaustive",
+            "proof-chain:census-full-width")),
 )
 
 
