@@ -5,9 +5,9 @@ from .bigraphs import (BipartiteGraph, bounds, census_avoiding_graphs,
                        contract, fiber_size, graph_of_word, ordered_contains)
 from .counting import (catalan, count_avoiders, count_multiset_avoiders,
                        records_to_csv, records_to_json, regular_spec,
-                       sequence, stirling_approx, stirling_count, total_words)
+                       sequence, stirling_count, total_words)
 from .errors import BudgetExceeded, ParseError
-from .matrices import (BinaryMatrix, dq_estimate, extremal_f, extremal_table,
+from .matrices import (BinaryMatrix, extremal_f, extremal_table,
                        perm_to_matrix)
 from .verify import RunManifest, run_suite
 from .words import (MultisetSpec, Word, canonicalize, complement,
@@ -20,9 +20,8 @@ __all__ = [
     "ParseError", "RunManifest", "Word", "bounds",
     "canonicalize", "catalan", "census_avoiding_graphs", "complement",
     "contained_patterns", "contains", "contract", "count_avoiders",
-    "count_multiset_avoiders", "dq_estimate", "extremal_f", "extremal_table",
+    "count_multiset_avoiders", "extremal_f", "extremal_table",
     "fiber_size", "find_occurrence", "graph_of_word", "ordered_contains",
     "perm_to_matrix", "records_to_csv", "records_to_json", "regular_spec",
-    "reverse", "run_suite", "sequence", "stirling_approx", "stirling_count",
-    "total_words",
+    "reverse", "run_suite", "sequence", "stirling_count", "total_words",
 ]

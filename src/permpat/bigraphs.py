@@ -272,9 +272,6 @@ class Power:
             return None
         return self.base ** int(self.exponent)
 
-    def __float__(self) -> float:
-        return float(self.base) ** float(self.exponent)
-
     def __str__(self) -> str:
         if self.is_exact:
             return _decimal(self.value)

@@ -156,19 +156,6 @@ def stirling_count(n: int, m: int) -> int:
     return int(value)
 
 
-def stirling_approx(n: int, m: int) -> float:
-    """sqrt(2*pi*m*n) * (n**m / (sqrt(2*pi*m) * e))**n.
-
-    Factorial-asymptotics yardstick for the total arrangement count of a
-    regular multiset; grows much slower than the multinomial itself.
-    """
-    if n < 1 or m < 1:
-        raise ParseError("n and m must be >= 1")
-    return math.sqrt(2 * math.pi * m * n) * (
-        n**m / (math.sqrt(2 * math.pi * m) * math.e)
-    ) ** n
-
-
 def iter_words(spec: MultisetSpec) -> Iterator[tuple[int, ...]]:
     """All arrangements of the multiset, in lexicographic order."""
     mults = list(spec.multiplicities)

@@ -538,12 +538,3 @@ def extremal_table(pattern: BinaryMatrix, n_max: int) -> list[ExtremalRecord]:
         raise ParseError("n_max must be >= 1")
     _check_request(n_max, pattern, table=True)
     return [extremal_f(n, pattern) for n in range(1, n_max + 1)]
-
-
-def dq_estimate(pattern: BinaryMatrix, n_max: int) -> Fraction:
-    """max f(n, pattern)/n over n = 1..n_max.
-
-    A finite lower witness for any valid linear-bound slope; no finite
-    computation can pin the true constant.
-    """
-    return max(rec.slope for rec in extremal_table(pattern, n_max))

@@ -41,7 +41,8 @@ def test_stirling_permutations(verify_all):
 
 def test_multinomial_totals(verify_all):
     criterion(verify_all, "multinomial totals",
-              ["stirling:multinomial-exhaustive"])
+              ["stirling:multinomial-exhaustive",
+               "stirling:multinomial-factorials"])
 
 
 def test_furedi_hajnal_desk_scale(verify_all):

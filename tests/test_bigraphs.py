@@ -219,7 +219,8 @@ class TestBounds:
         with pytest.raises(ParseError):
             bounds(1, 1, -1)
 
-    def test_power_float(self):
+    def test_fractional_power_has_no_value(self):
         p = Power(4, "1/2")
-        assert float(p) == 2.0
         assert not p.is_exact
+        assert p.value is None
+        assert str(p) == "4^(1/2)"

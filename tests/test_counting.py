@@ -10,7 +10,7 @@ from permpat import counting
 from permpat.counting import (CountRecord, CountWork, catalan, count_avoiders,
                               count_multiset_avoiders, iter_words,
                               records_to_csv, records_to_json, sequence,
-                              stirling_approx, stirling_count, total_words)
+                              stirling_count, total_words)
 from permpat.errors import BudgetExceeded, ParseError
 from permpat.words import MultisetSpec, Word
 
@@ -107,12 +107,6 @@ class TestStirling:
     def test_m1_gives_factorial(self):
         for n in range(1, 7):
             assert stirling_count(n, 1) == math.factorial(n)
-
-
-class TestStirlingApprox:
-    def test_positive(self):
-        assert all(stirling_approx(n, m) > 0
-                   for n in range(1, 8) for m in range(1, 5))
 
 
 class TestSequence:

@@ -5,8 +5,8 @@ import pytest
 from permpat import matrices
 from permpat.bigraphs import graph_of_matrix, ordered_contains_bruteforce
 from permpat.errors import BudgetExceeded, ParseError
-from permpat.matrices import (BinaryMatrix, dq_estimate, extremal_f,
-                              extremal_table, matrix_contains, perm_to_matrix)
+from permpat.matrices import (BinaryMatrix, extremal_f, extremal_table,
+                              matrix_contains, perm_to_matrix)
 from permpat.words import Word
 
 W = Word.parse
@@ -144,8 +144,6 @@ class TestExtremal:
         # a 2x2 table runs one search per n, so it has its own, lower cap
         with pytest.raises(BudgetExceeded, match="table limited to n <= 42"):
             extremal_table(IDENTITY2, 43)
-        with pytest.raises(BudgetExceeded, match="table limited to n <= 42"):
-            dq_estimate(perm_to_matrix(W("21")), 43)
 
     def test_invalid_witness_is_refused(self, monkeypatch):
         # an occurrence test that never fires fills the grid with 1s; the
@@ -255,12 +253,3 @@ class TestEffectClasses:
         assert 0 < rec.transitions <= rec.states * 15
         assert rec.as_dict()["states"] == 183
         assert rec.as_dict()["transitions"] == rec.transitions
-
-
-class TestSlopeEstimate:
-    def test_one_by_one(self):
-        assert dq_estimate(BinaryMatrix(((1,),)), 3) == 0
-
-    def test_propagates_refusal(self, no_search):
-        with pytest.raises(BudgetExceeded):
-            dq_estimate(IDENTITY2, 101)

@@ -23,6 +23,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -54,6 +55,21 @@ MUTANTS = (
            "words.py", "range(lo + 1, hi)", "range(lo, hi + 1)",
            ("catalan:catalan-agreement", "stirling:engine-exhaustive",
             "matrix:internal-checks")),
+    Mutant("the kernel's column window starts one too low",
+           "words.py", "lo = img[k] + w - k", "lo = img[k] + w - k - 1",
+           ("core:bruteforce-agreement", "contraction:encoding-equivalence",
+            "proof-chain:census-exhaustive")),
+    Mutant("the kernel places a pattern row one row short of the end",
+           "words.py", "pn - qn + v + 1", "pn - qn + v",
+           ("core:bruteforce-agreement", "matrix:word-matrix-consistency",
+            "contraction:matrix-equivalence")),
+    Mutant("the counter's window admits its upper end",
+           "counting.py", "first <= j < last", "first <= j <= last",
+           ("catalan:catalan-agreement", "stirling:engine-exhaustive")),
+    Mutant("total_words adds 1 past length 20",
+           "counting.py", "value *= math.comb(placed, m)",
+           "value = value * math.comb(placed, m) + (placed > 20)",
+           ("stirling:multinomial-factorials",)),
     Mutant("the counter skips its gaps filter",
            "counting.py", "for a, b, free in steps[u].gaps):",
            "for a, b, free in ()):",
@@ -72,6 +88,10 @@ MUTANTS = (
            "matrices.py", "if weight + bound <= best:",
            "if weight + bound < best - 1:",
            ("matrix:engine-work",)),
+    Mutant("matrix containment lets a pattern column run one too far",
+           "matrices.py", "pc - (qc - 1 - c)", "pc - (qc - c)",
+           ("matrix:word-matrix-consistency",
+            "contraction:matrix-equivalence")),
     Mutant("the census room is one column short",
            "bigraphs.py", "n - k + 1", "n - k",
            ("proof-chain:census-exhaustive",
@@ -84,6 +104,14 @@ MUTANTS = (
            "bigraphs.py", "shut = closed(u, shut)", "pass",
            ("proof-chain:census-exhaustive",
             "proof-chain:census-full-width")),
+    Mutant("fiber_size counts the empty subset of a block's edges",
+           "bigraphs.py", "2 ** mults[i - 1] - 1", "2 ** mults[i - 1]",
+           ("proof-chain:fiber-single-edge", "proof-chain:fiber-partition",
+            "proof-chain:fiber-inversion")),
+    Mutant("contract sends each left vertex to the previous block",
+           "bigraphs.py", "block_of[i - 1]", "block_of[i - 2]",
+           ("contraction:inheritance-exhaustive",
+            "contraction:inheritance-random")),
 )
 
 
@@ -121,15 +149,19 @@ def run(mutant: Mutant) -> list[str]:
 
 def main() -> int:
     survived = 0
+    start = time.perf_counter()
     for i, mutant in enumerate(MUTANTS, 1):
         print(f"[{i}] {mutant.what} ({mutant.file})", flush=True)
+        began = time.perf_counter()
         problems = run(mutant)
         for problem in problems:
             print(f"    SURVIVED: {problem}")
         if not problems:
             print("    caught")
+        print(f"    {time.perf_counter() - began:.1f} s")
         survived += bool(problems)
-    print(f"{len(MUTANTS) - survived}/{len(MUTANTS)} mutants caught")
+    print(f"{len(MUTANTS) - survived}/{len(MUTANTS)} mutants caught "
+          f"in {time.perf_counter() - start:.1f} s")
     return 1 if survived else 0
 
 
