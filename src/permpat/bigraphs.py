@@ -12,15 +12,16 @@ edge sets.
 Ordered containment runs the kernel that also decides word containment,
 `words._rows_contain`, over one right-neighbour bitmask per left vertex.
 `ordered_contains` builds those rows from an edge set.  The census of
-avoiding graphs keeps one mutable list of rows while it walks the
-down-set of avoiding edge sets, setting and clearing one bit per
-extension.  The walk adds edges in increasing bit order, so a new edge
-can only carry the pattern's last letter, with the other letters in the
-rows above it.  All children in later rows see the same rows above, so
-each avoider carries one closed-column mask: the columns where an edge
-in a later row would complete an occurrence.  One pinned kernel search
-per column still open builds it, and each later-row child is then one
-bit test.
+avoiding graphs rests on one lemma: every left vertex of a permutation's
+pattern graph has exactly one edge, so an occurrence uses only non-empty
+rows, in order, and deleting a graph's empty rows neither creates nor
+destroys one.  With N = n*m, census(n, m, p) = sum_r C(N, r) * A_r,
+where A_r counts the avoiding sequences of r non-empty rows.  The walk
+appends rows to avoiding sequences, keeping one list of rows.  Each
+sequence carries one closed-column mask, the columns where a next row
+would complete an occurrence; one pinned kernel search per column still
+open builds it.  A next row avoids exactly when it misses the mask, so
+the last row is counted as 2^open - 1 and never visited.
 """
 from __future__ import annotations
 
@@ -169,39 +170,45 @@ def fiber_size(Gp: BipartiteGraph, spec: MultisetSpec) -> int:
 
 
 # Largest n*m*n the census walks.  On Python 3.11.7 (2 vCPUs, busy host)
-# the slowest admitted censuses take 0.15 s (12 and 21 on (2,6)), 0.19 s
-# (the slowest 3-patterns on (3,2)) and 0.08 s (the slowest 4-patterns on
-# (4,1)).  Past the guard the work follows the avoiders, not the cells:
-# 12345 on (5,1) (25 cells) visits 2^20 * 31 = 32,505,856 avoiders in
-# 25 s, 123 and 321 on (3,3) (27 cells) take 21-24 s, and 12 on (2,7)
-# (28 cells) takes 0.7 s.
+# the slowest admitted censuses take about 0.03 s (the 3-patterns on
+# (3,2)), 0.016 s (the 4-patterns on (4,1)) and 0.2 ms (12 and 21 on
+# (2,6)).  Past the guard the work follows the avoiding sequences of at
+# most n*m - 1 non-empty rows, not the cells: 12345 on (5,1) (25 cells)
+# visits 954,305 in 3.7 s, 123 and 321 on (3,3) (27 cells) visit 541,281
+# in 1.9-2.5 s, and 12 on (2,12) (48 cells) visits 576 in 1 ms.
 DEFAULT_CENSUS_CELLS = 24
 
 
 def census_avoiding_graphs(n: int, m: int, pattern: Word) -> int:
     """Count bipartite graphs on ([n*m],[n]) avoiding the pattern's graph.
 
-    Adding an edge never destroys an occurrence, so the avoiding edge sets
-    are closed under removing edges, and each nonempty one is reached
-    exactly once from the avoiding set without its highest bit (bit
-    (i-1)*n + (j-1) is the edge (i, j)).  The census walks that down-set
-    from the empty graph: it extends an avoider only by bits above its
-    highest one and recurses only into children that avoid.  A pattern
-    longer than n fits into no graph, so all 2^(n*m*n) graphs avoid it.
+    Every left vertex of the pattern's graph has exactly one edge, so an
+    occurrence maps it onto a non-empty row, and the pattern's rows onto
+    non-empty rows in order.  Deleting a graph's empty rows therefore
+    neither creates nor destroys an occurrence.  With N = n*m, a graph
+    is its sequence of r non-empty rows (each a non-zero n-bit mask) and
+    the choice of which r of the N rows they fill, so
 
-    A child that sets bit (v, c) (0-based) on an avoider has rows v+1..
-    empty, so an occurrence it adds maps the pattern's last letter onto
-    (v, c), and the first k-1 letters into rows[:v].  Every child in a
-    row v > u, where u holds the avoider's highest edge, sees the same
-    rows[:v] = rows[:u+1], since the rows between are empty.  So each
-    avoider carries one mask, `shut`: bit j is set when rows[:u+1]
-    contain the first k-1 letters with the last letter's value pinned to
-    column j.  A later-row child (v, c) avoids exactly when bit c is
-    clear.  A child (u, c) in the avoider's own row sees rows[:u], which
-    did not change, so it is judged by the mask the avoider came in with.
-    The closure starts from that mask, which only grows down the tree,
-    and runs one pinned `_rows_contain` search for each column still
-    open in `room`: the columns with p_k - 1 below and k - p_k above.
+        census(n, m, p) = sum_{r=0..N} C(N, r) * A_r,
+
+    where A_r counts the avoiding sequences of r non-empty rows.  Adding
+    a row never destroys an occurrence, so the avoiding sequences are
+    closed under deleting the last row, and the census walks them from
+    the empty sequence, recursing only into children that avoid.  A
+    pattern longer than n fits into no graph, so all 2^(n*m*n) graphs
+    avoid it.
+
+    An occurrence that a new last row R adds maps the pattern's last
+    letter into R and its first k-1 letters into the rows before.  So
+    each avoiding sequence s carries one mask, `shut`: bit j is set when
+    s contains the first k-1 letters with the last letter's value pinned
+    to column j.  Appending R keeps s avoiding exactly when R misses
+    shut, so A_{r+1} = sum_s (2^|open(s)| - 1) over the avoiding s of
+    length r, and the walk visits only sequences of at most N - 1 rows.
+    A child's mask starts from its parent's, which only grows down the
+    walk, and runs one pinned `_rows_contain` search for each column
+    still open in `room`: the columns with p_k - 1 below and k - p_k
+    above.
     """
     if n < 1 or m < 1:
         raise ParseError("n and m must be >= 1")
@@ -217,39 +224,35 @@ def census_avoiding_graphs(n: int, m: int, pattern: Word) -> int:
     nbrs = _neighbour_lists(pattern_graph(pattern))
     head, last = nbrs[:-1], nbrs[-1][0]
     room = ((1 << (n - k + 1)) - 1) << last
-    bottom = n * m - 1
-    rows = [0] * (bottom + 1)
+    full = (1 << n) - 1
+    rows: list[int] = []
+    weight = [math.comb(n * m, r) for r in range(n * m + 1)]
 
-    def closed(u: int, shut: int) -> int:
-        """shut plus every column of room that rows[:u+1] close."""
-        above = rows[:u + 1]
+    def closed(shut: int) -> int:
+        """shut plus every column of room that rows close."""
         for j in range(n):
             if ((room & ~shut) >> j & 1 and _rows_contain(
-                    above, n, head, k, ((last, j),)) is not None):
+                    rows, n, head, k, ((last, j),)) is not None):
                 shut |= 1 << j
         return shut
 
-    def walk(u: int, j: int, shut: int) -> int:
-        """Count the avoider whose highest edge is (u, j) and all its
-        extensions by higher bits; shut is the mask of rows[:u]."""
-        found = 1
-        for c in range(j + 1, n):
-            if not shut >> c & 1:
-                rows[u] |= 1 << c
-                found += walk(u, c, shut)
-                rows[u] ^= 1 << c
-        if u == bottom:  # no later row to close for
-            return found
-        shut = closed(u, shut)
-        for v in range(u + 1, bottom + 1):
-            for c in range(n):
-                if not shut >> c & 1:
-                    rows[v] = 1 << c
-                    found += walk(v, c, shut)
-            rows[v] = 0
+    def walk(shut: int) -> int:
+        """Count the graphs whose non-empty rows are rows followed by at
+        least one more; r such rows lie among the N rows in C(N, r)
+        ways.  shut is the mask of rows."""
+        free = full & ~shut
+        r = len(rows) + 1
+        found = weight[r] * ((1 << free.bit_count()) - 1)
+        if r < n * m:
+            row = free
+            while row:
+                rows.append(row)
+                found += walk(closed(shut))
+                rows.pop()
+                row = (row - 1) & free
         return found
 
-    return walk(-1, n - 1, 0)
+    return 1 + walk(closed(0))
 
 
 @dataclass(frozen=True)

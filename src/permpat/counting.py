@@ -206,6 +206,9 @@ class _Engine:
     def __init__(self, pattern: Sequence[int]):
         ranks = tuple(r - 1 for r in canonical_form(pattern))  # 0-based
         self.steps, self.roles = _plan(ranks)
+        # per level, the two filters `moves` runs on every embedding it leaves
+        self.recur = tuple(step.recur for step in self.steps)
+        self.gaps = tuple(step.gaps for step in self.steps)
         # where no pin is read one way only, dominance is equality, which
         # the frozenset of a state already gives
         self.ordered = any(_LO in role or _HI in role for role in self.roles)
@@ -238,7 +241,7 @@ class _Engine:
         """Per available value a_j: None when appending it completes an
         occurrence through (t, pins), else the embeddings (t, pins) leaves
         after it, kept and grown, that can still complete."""
-        steps = self.steps
+        steps, recur, gaps = self.steps, self.recur, self.gaps
         k = len(steps)
         afters, recodes = letters
         left = sum(avail) - 1
@@ -269,13 +272,13 @@ class _Engine:
             for u, code in embs:
                 # a pinned rank that recurs needs enough copies of its value
                 if any(not code[i] & 1 or after[code[i] >> 1] < due
-                       for i, due in steps[u].recur):
+                       for i, due in recur[u]):
                     continue
                 # the room rule: unpinned ranks need distinct available
                 # values in their window
                 if any((len(after) if b is None else code[b] >> 1)
                        - (0 if a is None else (code[a] + 1) >> 1) < free
-                       for a, b, free in steps[u].gaps):
+                       for a, b, free in gaps[u]):
                     continue
                 live.append((u, code))
             out.append(tuple(live))

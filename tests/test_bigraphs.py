@@ -4,11 +4,14 @@ from itertools import permutations
 
 import pytest
 
+from permpat import bigraphs
 from permpat.bigraphs import (MAX_BOUND_DIGITS, BipartiteGraph, Power,
                               adjacency, bounds, census_avoiding_graphs,
                               contract, fiber_size, graph_of_word,
-                              ordered_contains, pattern_graph)
+                              ordered_contains, ordered_contains_bruteforce,
+                              pattern_graph)
 from permpat.errors import BudgetExceeded, ParseError
+from permpat.verify import SMALL_PATTERNS
 from permpat.words import MultisetSpec, Word, complement, reverse
 
 W = Word.parse
@@ -157,10 +160,43 @@ class TestCensus:
         for n, m in ((1, 1), (2, 3), (4, 1)):
             assert census_avoiding_graphs(n, m, W("1")) == 1
 
+    def test_empty_rows_are_invisible(self):
+        # the lemma behind the census's binomial sum, by the all-injections
+        # route: each left vertex of a pattern graph has one edge, so
+        # spreading a graph's non-empty rows among empty ones keeps each
+        # answer
+        rng = random.Random(24)
+        patterns = [pattern_graph(W(p)) for p in SMALL_PATTERNS]
+        for _ in range(40):
+            b = rng.randint(1, 3)
+            rows = [rng.randrange(1, 1 << b) for _ in range(rng.randint(1, 4))]
+            a = len(rows) + rng.randint(1, 3)
+            at = sorted(rng.sample(range(1, a + 1), len(rows)))
+            edges = [(r, j) for r, row in enumerate(rows)
+                     for j in range(1, b + 1) if row >> (j - 1) & 1]
+            H = BipartiteGraph(len(rows), b,
+                               frozenset((r + 1, j) for r, j in edges))
+            G = BipartiteGraph(a, b,
+                               frozenset((at[r], j) for r, j in edges))
+            for Q in patterns:
+                assert (ordered_contains_bruteforce(G, Q)
+                        == ordered_contains_bruteforce(H, Q)), (rows, at, Q)
+
+    def test_two_columns_past_the_guard(self, monkeypatch):
+        # every k-pattern on (k,m) has the full-width closed form
+        # 2^((k-1)km) sum_{j<k} C(km, j), at k = 2 (2m+1) 4^m; the guard
+        # is lifted to reach 48 cells
+        monkeypatch.setattr(bigraphs, "DEFAULT_CENSUS_CELLS", 48)
+        for m in range(1, 13):
+            for p in ("12", "21"):
+                assert (census_avoiding_graphs(2, m, W(p))
+                        == (2 * m + 1) * 4 ** m), (p, m)
+
     def test_symmetric_images_agree(self):
         # reversing the rows or the columns of a graph maps the avoiders
-        # of p onto those of its reverse or complement.  The walk sets
-        # bits in one order, so each image runs a different search
+        # of p onto those of its reverse or complement.  The walk appends
+        # rows from the first, and its closures pin the last letter, so
+        # each image runs a different search
         for n, m in ((4, 1), (3, 2)):
             census = {p: census_avoiding_graphs(n, m, Word(p))
                       for p in permutations(range(1, n + 1))}
@@ -176,7 +212,8 @@ class TestCensus:
         assert census_avoiding_graphs(1, 3, W("21")) == 2 ** 3
 
     def test_multi_row_values(self):
-        # a 3-pattern at m = 2: the room pre-checks meet two rows per value
+        # a 3-pattern at m = 2: sequences of up to five non-empty rows,
+        # each placed among the six rows by its binomial weight
         assert census_avoiding_graphs(3, 2, W("123")) == 90112
         assert census_avoiding_graphs(3, 2, W("132")) == 90112
 

@@ -71,7 +71,7 @@ MUTANTS = (
            "value = value * math.comb(placed, m) + (placed > 20)",
            ("stirling:multinomial-factorials",)),
     Mutant("the counter skips its gaps filter",
-           "counting.py", "for a, b, free in steps[u].gaps):",
+           "counting.py", "for a, b, free in gaps[u]):",
            "for a, b, free in ()):",
            ("stirling:engine-work",)),
     Mutant("the counter keeps dominated embeddings",
@@ -96,12 +96,21 @@ MUTANTS = (
            "bigraphs.py", "n - k + 1", "n - k",
            ("proof-chain:census-exhaustive",
             "proof-chain:census-full-width")),
-    Mutant("the census closure skips the avoider's own row",
-           "bigraphs.py", "rows[:u + 1]", "rows[:u]",
+    Mutant("a new census row skips the closure",
+           "bigraphs.py", "found += walk(closed(shut))", "found += walk(shut)",
            ("proof-chain:census-exhaustive",
             "proof-chain:census-full-width")),
-    Mutant("later rows skip the census closure",
-           "bigraphs.py", "shut = closed(u, shut)", "pass",
+    Mutant("the census places r rows by C(N - 1, r)",
+           "bigraphs.py", "math.comb(n * m, r)", "math.comb(n * m - 1, r)",
+           ("proof-chain:census-exhaustive",
+            "proof-chain:census-full-width")),
+    Mutant("the census's last row may be empty",
+           "bigraphs.py", "((1 << free.bit_count()) - 1)",
+           "(1 << free.bit_count())",
+           ("proof-chain:census-exhaustive",
+            "proof-chain:census-full-width")),
+    Mutant("the census walk stops one row short",
+           "bigraphs.py", "if r < n * m:", "if r < n * m - 1:",
            ("proof-chain:census-exhaustive",
             "proof-chain:census-full-width")),
     Mutant("fiber_size counts the empty subset of a block's edges",
