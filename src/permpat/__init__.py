@@ -10,18 +10,18 @@ from .errors import BudgetExceeded, ParseError
 from .matrices import (BinaryMatrix, extremal_f, extremal_table,
                        perm_to_matrix)
 from .verify import RunManifest, run_suite
-from .words import (MultisetSpec, Word, canonicalize, complement,
-                    contained_patterns, contains, find_occurrence, reverse)
+from .words import (MultisetSpec, Word, complement, contained_patterns,
+                    contains, find_occurrence, reverse)
 
 # The operations the CLI and the README use; everything else is reached
 # through its module.
 __all__ = [
     "BinaryMatrix", "BipartiteGraph", "BudgetExceeded", "MultisetSpec",
-    "ParseError", "RunManifest", "Word", "bounds",
-    "canonicalize", "catalan", "census_avoiding_graphs", "complement",
-    "contained_patterns", "contains", "contract", "count_avoiders",
-    "count_multiset_avoiders", "extremal_f", "extremal_table",
-    "fiber_size", "find_occurrence", "graph_of_word", "ordered_contains",
-    "perm_to_matrix", "records_to_csv", "records_to_json", "regular_spec",
-    "reverse", "run_suite", "sequence", "stirling_count", "total_words",
+    "ParseError", "RunManifest", "Word", "bounds", "catalan",
+    "census_avoiding_graphs", "complement", "contained_patterns", "contains",
+    "contract", "count_avoiders", "count_multiset_avoiders", "extremal_f",
+    "extremal_table", "fiber_size", "find_occurrence", "graph_of_word",
+    "ordered_contains", "perm_to_matrix", "records_to_csv", "records_to_json",
+    "regular_spec", "reverse", "run_suite", "sequence", "stirling_count",
+    "total_words",
 ]

@@ -62,19 +62,9 @@ class BipartiteGraph:
                 edges.append((i + 1, j + 1))
         return cls(left_size, right_size, frozenset(edges))
 
-    def to_mask(self) -> int:
-        mask = 0
-        for i, j in self.edges:
-            mask |= 1 << ((i - 1) * self.right_size + (j - 1))
-        return mask
-
-    @property
-    def sorted_edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.edges))
-
     def to_text(self) -> str:
         lines = [f"{self.left_size} {self.right_size}"]
-        lines += [f"{i} {j}" for i, j in self.sorted_edges]
+        lines += [f"{i} {j}" for i, j in sorted(self.edges)]
         return "\n".join(lines)
 
 
@@ -118,7 +108,7 @@ def ordered_contains_bruteforce(P: BipartiteGraph, Q: BipartiteGraph) -> bool:
     """Reference check trying every pair of injections; sides <= 4 or so."""
     if Q.left_size > P.left_size or Q.right_size > P.right_size:
         return False
-    qedges = Q.sorted_edges
+    qedges = sorted(Q.edges)
     for f in combinations(range(1, P.left_size + 1), Q.left_size):
         for fp in combinations(range(1, P.right_size + 1), Q.right_size):
             if all((f[v - 1], fp[w - 1]) in P.edges for v, w in qedges):
@@ -266,19 +256,10 @@ class Power:
         object.__setattr__(self, "exponent", Fraction(self.exponent))
 
     @property
-    def is_exact(self) -> bool:
-        return self.exponent.denominator == 1
-
-    @property
     def value(self) -> int | None:
-        if not self.is_exact:
+        if self.exponent.denominator != 1:
             return None
         return self.base ** int(self.exponent)
-
-    def __str__(self) -> str:
-        if self.is_exact:
-            return _decimal(self.value)
-        return f"{_decimal(self.base)}^({_ratio(self.exponent)})"
 
     def as_dict(self) -> dict:
         value = self.value

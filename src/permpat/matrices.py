@@ -79,14 +79,6 @@ class BinaryMatrix:
         return "\n".join(self.row_strings())
 
 
-def reverse_rows(M: BinaryMatrix) -> BinaryMatrix:
-    return BinaryMatrix(M.cells[::-1])
-
-
-def reverse_cols(M: BinaryMatrix) -> BinaryMatrix:
-    return BinaryMatrix(tuple(row[::-1] for row in M.cells))
-
-
 def perm_to_matrix(p: Word) -> BinaryMatrix:
     """The permutation matrix with a 1 at (row p(i), column i)."""
     if not p.is_permutation:

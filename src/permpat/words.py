@@ -89,12 +89,6 @@ class Word:
     def is_permutation(self) -> bool:
         return len(set(self.entries)) == len(self.entries)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
     def __str__(self) -> str:
         if self.max_value <= 9:
             return "".join(str(v) for v in self.entries)
@@ -118,11 +112,6 @@ class MultisetSpec:
     @classmethod
     def regular(cls, n: int, m: int) -> "MultisetSpec":
         return cls((m,) * n)
-
-    @classmethod
-    def unit(cls, n: int) -> "MultisetSpec":
-        """The ordinary set {1, ..., n}."""
-        return cls((1,) * n)
 
     @classmethod
     def from_word(cls, word: Word) -> "MultisetSpec":
@@ -153,14 +142,6 @@ def canonical_form(seq: Sequence[int]) -> tuple[int, ...]:
     to seq, preserving relative order and equalities (e.g. 7,1,4 -> 3,1,2)."""
     rank = {v: i for i, v in enumerate(sorted(set(seq)), start=1)}
     return tuple(rank[v] for v in seq)
-
-
-def canonicalize(subsequence: Word | Sequence[int]) -> Word:
-    """Reduce a word or raw subsequence (gaps allowed, e.g. 7,1,4) to the
-    gap-free word order-isomorphic to it."""
-    entries = (subsequence.entries if isinstance(subsequence, Word)
-               else tuple(subsequence))
-    return Word(canonical_form(entries))
 
 
 def reverse(word: Word) -> Word:

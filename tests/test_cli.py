@@ -52,6 +52,8 @@ EXIT_TABLE = [  # (argv, exit code, stdout, stderr fragment)
      "parse_error"),
     ("contains --word 13 --pattern 12", 2, "", "gaps: missing [2]",
      "gap_rejected"),
+    ("contains --word 1,a --pattern 1", 2, "",
+     "not a comma-separated word: '1,a'", "comma_word_not_decimal"),
     # int() refuses these with a plain ValueError, which would exit 3
     ("contains --word \u00b2 --pattern 1", 2, "", "not a word",
      "superscript_digit"),

@@ -40,6 +40,10 @@ class TestCountAvoiders:
         with pytest.raises(ParseError):
             count_avoiders(3, W("212"))
 
+    def test_rejects_n_0(self):
+        with pytest.raises(ParseError, match="n must be >= 1"):
+            count_avoiders(0, W("12"))
+
     def test_large_count_starts_no_pool(self, monkeypatch):
         # 3,628,800 arrangements with workers=2 still count in this process
         def no_pool(*args, **kwargs):
@@ -81,7 +85,7 @@ class TestCountMultisetAvoiders:
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceeded):
-            count_multiset_avoiders(MultisetSpec.unit(12), W("12"))
+            count_multiset_avoiders(MultisetSpec.regular(12, 1), W("12"))
 
 
 class TestTotals:
@@ -89,7 +93,7 @@ class TestTotals:
         assert total_words(MultisetSpec((2, 2))) == 6
         assert total_words(MultisetSpec((3, 3))) == 20
         for n in range(1, 7):
-            assert total_words(MultisetSpec.unit(n)) == math.factorial(n)
+            assert total_words(MultisetSpec.regular(n, 1)) == math.factorial(n)
 
     def test_iteration_is_lexicographic_and_distinct(self):
         words = list(iter_words(MultisetSpec((2, 2))))
@@ -107,6 +111,10 @@ class TestStirling:
     def test_m1_gives_factorial(self):
         for n in range(1, 7):
             assert stirling_count(n, 1) == math.factorial(n)
+
+    def test_rejects_n_0(self):
+        with pytest.raises(ParseError, match="n and m must be >= 1"):
+            stirling_count(0, 1)
 
 
 class TestSequence:

@@ -170,6 +170,10 @@ class TestExtremal:
         with pytest.raises(ParseError):
             extremal_f(2, BinaryMatrix(((1, 1), (0, 1))))
 
+    def test_rejects_n_0(self):
+        with pytest.raises(ParseError, match="n must be >= 1"):
+            extremal_f(0, IDENTITY2)
+
     def test_deterministic_witness(self):
         a = extremal_f(4, IDENTITY2)
         b = extremal_f(4, IDENTITY2)
@@ -204,9 +208,11 @@ class TestEffectClasses:
 
     def test_classes_match_the_per_row_successor(self):
         # every state the search reaches, for every pattern of side 2 to 4
-        # at n <= 5: each allowed row leads where its class leads, each
-        # class weighs as much as its heaviest row, and the classes of a
-        # row's left and right parts join into the row's class
+        # at n <= 5: every growth keeps the room rule, each allowed row
+        # leads where its class leads, each class weighs as much as its
+        # heaviest row, and the classes of a row's left and right parts
+        # join into the row's class.  prune drops a growth that breaks the
+        # room rule one step later, so only the first assertion sees one.
         for text in self.PATTERNS:
             for n in range(1, 6):
                 engine = matrices._RowEngine(n, perm_to_matrix(W(text)).cells)
@@ -214,6 +220,13 @@ class TestEffectClasses:
                 for r, state in list(engine.memo):
                     rows_after = n - 1 - r
                     rows = matrices._RowClasses(engine, state, rows_after)
+                    for level, _, grows in rows.growing:
+                        for _, pins in grows.values():
+                            assert all(
+                                (n if b is None else pins[b])
+                                - (0 if a is None else pins[a] + 1) >= free
+                                for a, b, free in engine.steps[level].gaps
+                            ), (text, n, r, level, pins)
 
                     def effect_of(picked):
                         effect = rows.none

@@ -19,24 +19,29 @@ class TestRunSuite:
 
     def test_failed_certificate_fails_the_suite(self, monkeypatch):
         # a fault inside a suite is reported as one failed check instead of
-        # ending the run: an extremal engine that misses every occurrence
-        # trips the witness certificate (ArithmeticError), and a census
-        # walk that never bottoms out raises RecursionError
+        # ending the run, after the checks the suite made before it: an
+        # extremal engine that misses every occurrence trips the witness
+        # certificate (ArithmeticError), and a census walk that never
+        # bottoms out raises RecursionError
         def endless_walk(*args):
             raise RecursionError("maximum recursion depth exceeded")
 
         faults = [("matrix", matrices._RowEngine, "blocked",
-                   lambda self, state: 0, "invalid witness"),
+                   lambda self, state: 0, "invalid witness",
+                   ["word-matrix-consistency"]),
                   ("proof-chain", verify, "census_avoiding_graphs",
-                   endless_walk, "RecursionError")]
-        for suite, owner, name, fault, detail in faults:
+                   endless_walk, "RecursionError",
+                   ["fiber-single-edge", "fiber-partition",
+                    "fiber-inversion"])]
+        for suite, owner, name, fault, detail, before in faults:
             with monkeypatch.context() as patch:
                 patch.setattr(owner, name, fault)
                 manifest = run_suite(suite)
             assert not manifest.ok
-            failed = [c for c in manifest.checks if not c.passed]
-            assert [c.name for c in failed] == [f"{suite}:internal-checks"]
-            assert detail in failed[0].detail
+            assert [c.name for c in manifest.checks] == [
+                f"{suite}:{check}" for check in [*before, "internal-checks"]]
+            assert all(c.passed for c in manifest.checks[:-1])
+            assert detail in manifest.checks[-1].detail
 
     def test_failed_check_names_its_inputs(self, monkeypatch):
         # a Catalan number one too high at n = 5 fails every 3-pattern
