@@ -198,6 +198,33 @@ def iter_words(spec: MultisetSpec) -> Iterator[tuple[int, ...]]:
 # a layer one embedding appears in many states, so its moves (per letter, the
 # embeddings it becomes, or None where the letter completes an occurrence)
 # are computed once per (available values, embedding) and states take unions.
+#
+# Each embedding a state holds passes the filters (`_fits`: recurring pins
+# have copies left, and the room rule) for that state's multiplicities, since
+# `moves` filters every embedding it leaves and the antichain only drops
+# some.  So a letter re-checks only what it changes.  While its value stays
+# available, an embedding it keeps has the same codes and the same number of
+# available values, and fails only if a recurring pin sits on that value with
+# no copy to spare.  Grown embeddings, and kept ones the letter re-codes
+# because its value runs out, run the full filter.
+
+
+def _fits(code: tuple[int, ...], after: tuple[int, ...], recur: tuple,
+          gaps: tuple) -> bool:
+    """Can an embedding with pins `code` still complete on the
+    multiplicities `after`?  A pinned rank that recurs needs enough copies
+    of its value, and the room rule: the unpinned ranks between two pins
+    (or a pin and an end) need as many distinct available values."""
+    for i, due in recur:
+        c = code[i]
+        if not c & 1 or after[c >> 1] < due:
+            return False
+    m = len(after)
+    for a, b, free in gaps:
+        if ((m if b is None else code[b] >> 1)
+                - (0 if a is None else (code[a] + 1) >> 1) < free):
+            return False
+    return True
 
 
 class _Engine:
@@ -206,7 +233,8 @@ class _Engine:
     def __init__(self, pattern: Sequence[int]):
         ranks = tuple(r - 1 for r in canonical_form(pattern))  # 0-based
         self.steps, self.roles = _plan(ranks)
-        # per level, the two filters `moves` runs on every embedding it leaves
+        # per level, the two filters `_fits` runs on grown and re-coded
+        # embeddings
         self.recur = tuple(step.recur for step in self.steps)
         self.gaps = tuple(step.gaps for step in self.steps)
         # where no pin is read one way only, dominance is equality, which
@@ -241,7 +269,7 @@ class _Engine:
         """Per available value a_j: None when appending it completes an
         occurrence through (t, pins), else the embeddings (t, pins) leaves
         after it, kept and grown, that can still complete."""
-        steps, recur, gaps = self.steps, self.recur, self.gaps
+        steps = self.steps
         k = len(steps)
         afters, recodes = letters
         left = sum(avail) - 1
@@ -253,34 +281,37 @@ class _Engine:
             first = 0 if lo is None else (pins[lo] + 1) >> 1
             last = len(avail) if hi is None else pins[hi] >> 1
         # the empty embedding is implicit in every state
-        kept = ((t, pins),) if t and k - t <= left else ()
+        kept = t and k - t <= left
+        if kept:
+            recur, gaps = self.recur[t], self.gaps[t]
+            # (t, pins) fits avail, so while a letter's value stays
+            # available only a recurring pin on it with no copy to spare
+            # can fail
+            short = [pins[i] >> 1 for i, due in recur
+                     if avail[pins[i] >> 1] == due]
         grows = t + 1 < k and k - t - 1 <= left
+        if grows:
+            recur1, gaps1 = self.recur[t + 1], self.gaps[t + 1]
         out = []
         for j, (after, recode) in enumerate(zip(afters, recodes)):
-            embs = kept
+            live = []
+            if kept:
+                if recode is None:
+                    if j not in short:
+                        live.append((t, pins))
+                elif _fits(code := tuple(map(recode.__getitem__, pins)),
+                           after, recur, gaps):
+                    live.append((t, code))
             if first <= j < last:
                 if t + 1 == k:
                     out.append(None)
                     continue
                 if grows:
-                    grown = tuple([(*pins, 2 * j + 1)[i] for i in keep])
-                    embs = (*kept, (t + 1, grown))
-            if recode is not None:
-                embs = [(u, tuple(map(recode.__getitem__, code)))
-                        for u, code in embs]
-            live = []
-            for u, code in embs:
-                # a pinned rank that recurs needs enough copies of its value
-                if any(not code[i] & 1 or after[code[i] >> 1] < due
-                       for i, due in recur[u]):
-                    continue
-                # the room rule: unpinned ranks need distinct available
-                # values in their window
-                if any((len(after) if b is None else code[b] >> 1)
-                       - (0 if a is None else (code[a] + 1) >> 1) < free
-                       for a, b, free in gaps[u]):
-                    continue
-                live.append((u, code))
+                    code = tuple([(*pins, 2 * j + 1)[i] for i in keep])
+                    if recode is not None:
+                        code = tuple(map(recode.__getitem__, code))
+                    if _fits(code, after, recur1, gaps1):
+                        live.append((t + 1, code))
             out.append(tuple(live))
         return tuple(out)
 
@@ -298,15 +329,20 @@ class _Engine:
             if moves is None:
                 moves = known[emb] = self.moves(avail, letters, *emb)
             per.append(moves)
-        return [(after, self.undominated(frozenset().union(*embs)))
-                for after, embs in zip(letters[0], zip(*per))
-                if None not in embs]
+        ordered, undominated = self.ordered, self.undominated
+        out = []
+        for after, embs in zip(letters[0], zip(*per)):
+            if None in embs:
+                continue
+            live = frozenset().union(*embs)
+            if ordered and len(live) > 1:
+                live = undominated(live)
+            out.append((after, live))
+        return out
 
     def undominated(self, live: frozenset) -> frozenset:
         """The antichain of `live`: at each t whose pins are read in
         order, the embeddings no other one there dominates."""
-        if len(live) < 2 or not self.ordered:
-            return live
         known = self.antichains.get(live)
         if known is None:
             levels: dict[int, list] = {}

@@ -39,7 +39,8 @@ SMALL_PATTERNS = ("1", "12", "21") + THREE_PATTERNS
 # (pattern, multiplicities, most states the count engine may hold in a
 # layer, most transitions it may build over all layers)
 PEAK_STATES = (("132", (1,) * 10, 132, 1535), ("1234", (1,) * 10, 110, 1532),
-               ("1342", (1,) * 10, 434, 4777), ("1212", (4, 4, 4), 111, 1110))
+               ("1342", (1,) * 10, 434, 4777), ("1212", (4, 4, 4), 111, 1110),
+               ("1211", (3, 3, 3, 3), 98, 1424))
 # (pattern, n, most memoized states and most transitions of the extremal
 # search)
 EXTREMAL_WORK = (("3142", 6, 295, 1395), ("213", 8, 707, 12713),

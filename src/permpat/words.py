@@ -19,7 +19,6 @@ and `_antichain` keeps the partial embeddings no other one dominates.
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple, Sequence
@@ -265,40 +264,68 @@ class _Step(NamedTuple):
 def _plan(ranks: Sequence[int]) -> tuple[tuple[_Step, ...], tuple]:
     """One _Step per letter of the pattern `ranks`, and per t = 0..k the
     roles of the live ranks after t letters, in increasing rank."""
-    k = len(ranks)
-    # per letter, the pinned ranks it reads as (exact, lower end, upper end)
-    ends = []
-    for t, r in enumerate(ranks):
-        pinned = ranks[:t]
-        ends.append((r, None, None) if r in pinned else (
-            None, max((s for s in pinned if s < r), default=None),
-            min((s for s in pinned if s > r), default=None)))
-    # roles[t]: each rank pinned before letter t -> how letters t.. read it
-    roles: list[dict[int, int]] = [{} for _ in range(k + 1)]
-    later: dict[int, int] = {}
+    k, top = len(ranks), max(ranks) + 1
+    # first[s]: the letter that pins rank s; due[s]: letters of rank s left
+    first, due = [k] * top, [0] * top
     for t in range(k - 1, -1, -1):
+        first[ranks[t]] = t
+        due[ranks[t]] += 1
+    # per letter, the pinned ranks it reads as (exact, lower end, upper
+    # end); reads[t][s]: how letters t.. read rank s (0: never)
+    ends: list = [None] * k
+    reads = [None] * k + [[0] * top]
+    for t in range(k - 1, -1, -1):
+        r = ranks[t]
+        if first[r] < t:
+            ends[t] = (r, None, None)
+        else:
+            lo, hi = r - 1, r + 1
+            while lo >= 0 and first[lo] >= t:
+                lo -= 1
+            while hi < top and first[hi] >= t:
+                hi += 1
+            ends[t] = (None, lo if lo >= 0 else None, hi if hi < top else None)
+        reads[t] = read = reads[t + 1][:]
         for s, role in zip(ends[t], (_BOTH, _LO, _HI)):
             if s is not None:
-                later[s] = later.get(s, 0) | role
-        pinned = set(ranks[:t])
-        roles[t] = {s: role for s, role in later.items() if s in pinned}
-    live = [sorted(role) for role in roles]
-    due, pinned, steps = Counter(ranks), set(), []
+                read[s] |= role
+    # one scan over the ranks per t finds the live ranks (pinned before
+    # letter t, read by a later one) and their indices, the recurring ones
+    # among them, and the unpinned ranks between neighbouring live ranks
+    # (or an end)
+    roles, index, recur, gaps = [], [], [], []
+    for t in range(k + 1):
+        read = reads[t]
+        role, pos, due_at, room = [], {}, [], []
+        below, free = None, 0
+        for s in range(top):
+            if first[s] >= t:
+                free += 1
+            elif read[s]:
+                i = len(role)
+                if free:
+                    room.append((below, i, free))
+                below, free = i, 0
+                if due[s]:
+                    due_at.append((i, due[s]))
+                pos[s] = i
+                role.append(read[s])
+        if free:
+            room.append((below, None, free))
+        roles.append(tuple(role))
+        index.append(pos)
+        recur.append(tuple(due_at))
+        gaps.append(tuple(room))
+        if t < k:
+            due[ranks[t]] -= 1
+    steps = []
     for t, r in enumerate(ranks):
-        index = {s: i for i, s in enumerate(live[t])}
-        sides = [(None, -1), *enumerate(live[t]), (None, max(ranks) + 1)]
+        pos = index[t]
         steps.append(_Step(
-            *(index.get(s) for s in ends[t]),
-            tuple(index.get(s, len(index)) for s in live[t + 1]),
-            roles[t + 1].get(r, 0),
-            tuple((i, due[s]) for i, s in enumerate(live[t]) if due[s]),
-            tuple((a, b, free) for (a, lo), (b, hi) in zip(sides, sides[1:])
-                  if (free := sum(s not in pinned
-                                  for s in range(lo + 1, hi))))))
-        due[r] -= 1
-        pinned.add(r)
-    return tuple(steps), tuple(
-        tuple(role[s] for s in sorted(role)) for role in roles)
+            *[None if s is None else pos[s] for s in ends[t]],
+            tuple([pos.get(s, len(pos)) for s in index[t + 1]]),
+            reads[t + 1][r], recur[t], gaps[t]))
+    return tuple(steps), tuple(roles)
 
 
 def _dominates(a: tuple, b: tuple, roles: tuple[int, ...]) -> bool:

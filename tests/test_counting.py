@@ -177,6 +177,24 @@ class TestRecordsAndSerialization:
         # a record the engine did not make carries no work
         assert CountRecord(MultisetSpec((1,)), W("1"), 0, 1).work == (0, 0, 0)
 
+    @pytest.mark.parametrize("patterns, mults, count, work", [
+        (("123", "321"), (1,) * 8, 1430, (8, 27, 288)),
+        (("1234", "4321"), (1,) * 7, 2761, (7, 28, 220)),
+        (("1212", "2121"), (4, 4, 4), 861, (12, 111, 1110)),
+        (("212", "121"), (2,) * 5, 945, (10, 65, 752)),
+        (("1342", "4213"), (1,) * 7, 2740, (7, 31, 257)),
+        (("2431",), (1,) * 7, 2740, (7, 30, 264)),
+        (("1423",), (1,) * 7, 2740, (7, 33, 266)),
+        # a rank recurring three times: a kept embedding can run short
+        (("1211",), (3, 3, 3, 3), 15400, (12, 98, 1424)),
+    ])
+    def test_work_pinned_exactly(self, patterns, mults, count, work):
+        # engine-work only bounds the work from above; pinning it exactly
+        # tells a change of state space from a constant-factor one
+        for pat in patterns:
+            rec = count_multiset_avoiders(MultisetSpec(mults), W(pat))
+            assert (rec.count, rec.work) == (count, work), pat
+
     def test_big_integers_as_decimal_strings(self):
         blob = json.loads(records_to_json(
             [count_multiset_avoiders(MultisetSpec.regular(2, 4), W("12"))]))[0]

@@ -51,8 +51,8 @@ MUTANTS = (
            "zip(ends[t], (_LO, _LO, _HI))",
            ("stirling:engine-exhaustive",
             "stirling:multiset-count-symmetry")),
-    Mutant("the plan counts one rank too many in a gap",
-           "words.py", "range(lo + 1, hi)", "range(lo, hi + 1)",
+    Mutant("the plan counts one rank too many in the lowest gap",
+           "words.py", "below, free = None, 0", "below, free = None, 1",
            ("catalan:catalan-agreement", "stirling:engine-exhaustive",
             "matrix:internal-checks")),
     Mutant("the kernel's column window starts one too low",
@@ -71,12 +71,16 @@ MUTANTS = (
            "value = value * math.comb(placed, m) + (placed > 20)",
            ("stirling:multinomial-factorials",)),
     Mutant("the counter skips its gaps filter",
-           "counting.py", "for a, b, free in gaps[u]):",
-           "for a, b, free in ()):",
+           "counting.py", "for a, b, free in gaps:",
+           "for a, b, free in ():",
            ("stirling:engine-work",)),
     Mutant("the counter keeps dominated embeddings",
-           "counting.py", "if len(live) < 2 or not self.ordered:",
-           "if True:",
+           "counting.py", "if ordered and len(live) > 1:",
+           "if False:",
+           ("stirling:engine-work",)),
+    Mutant("the kept-embedding shortcut ignores a recurring pin on the "
+           "letter's own value",
+           "counting.py", "if j not in short:", "if True:",
            ("stirling:engine-work",)),
     Mutant("the extremal search skips the room rule",
            "matrices.py", "for a, b, free in gaps):", "for a, b, free in ()):",
