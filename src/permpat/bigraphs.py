@@ -17,11 +17,13 @@ pattern graph has exactly one edge, so an occurrence uses only non-empty
 rows, in order, and deleting a graph's empty rows neither creates nor
 destroys one.  With N = n*m, census(n, m, p) = sum_r C(N, r) * A_r,
 where A_r counts the avoiding sequences of r non-empty rows.  The walk
-appends rows to avoiding sequences, keeping one list of rows.  Each
-sequence carries one closed-column mask, the columns where a next row
-would complete an occurrence; one pinned kernel search per column still
-open builds it.  A next row avoids exactly when it misses the mask, so
-the last row is counted as 2^open - 1 and never visited.
+appends rows to avoiding sequences and carries, in place of the rows,
+the state of the extremal search's row-transfer engine
+(`matrices._RowEngine`): the undominated partial occurrences that the
+rows left can still complete.  The engine's `blocked` mask holds the
+columns where a next row would complete an occurrence.  A next row
+avoids exactly when it misses that mask, so the last row is counted as
+2^open - 1 and never visited.
 """
 from __future__ import annotations
 
@@ -29,10 +31,11 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 
 from .errors import BudgetExceeded, ParseError
-from .matrices import BinaryMatrix
+from .matrices import BinaryMatrix, _RowClasses, _RowEngine
 from .words import MultisetSpec, Word, _rows_contain
 
 
@@ -160,12 +163,12 @@ def fiber_size(Gp: BipartiteGraph, spec: MultisetSpec) -> int:
 
 
 # Largest n*m*n the census walks.  On Python 3.11.7 (2 vCPUs, busy host)
-# the slowest admitted censuses take about 0.03 s (the 3-patterns on
-# (3,2)), 0.016 s (the 4-patterns on (4,1)) and 0.2 ms (12 and 21 on
+# the slowest admitted censuses take about 0.02-0.04 s (the 3-patterns on
+# (3,2)), 0.008 s (the 4-patterns on (4,1)) and 1.2 ms (12 and 21 on
 # (2,6)).  Past the guard the work follows the avoiding sequences of at
 # most n*m - 1 non-empty rows, not the cells: 12345 on (5,1) (25 cells)
-# visits 954,305 in 3.7 s, 123 and 321 on (3,3) (27 cells) visit 541,281
-# in 1.9-2.5 s, and 12 on (2,12) (48 cells) visits 576 in 1 ms.
+# visits 954,305 in 1.7 s, 123 and 321 on (3,3) (27 cells) visit 541,281
+# in 1.7 s, and 12 on (2,12) (48 cells) visits 576 in 4 ms.
 DEFAULT_CENSUS_CELLS = 24
 
 
@@ -188,17 +191,14 @@ def census_avoiding_graphs(n: int, m: int, pattern: Word) -> int:
     pattern longer than n fits into no graph, so all 2^(n*m*n) graphs
     avoid it.
 
-    An occurrence that a new last row R adds maps the pattern's last
-    letter into R and its first k-1 letters into the rows before.  So
-    each avoiding sequence s carries one mask, `shut`: bit j is set when
-    s contains the first k-1 letters with the last letter's value pinned
-    to column j.  Appending R keeps s avoiding exactly when R misses
-    shut, so A_{r+1} = sum_s (2^|open(s)| - 1) over the avoiding s of
+    The walk reads the pattern's graph as a 0-1 matrix and carries, in
+    place of a sequence's rows, the extremal search's state after them.
+    `blocked` gives the columns where a next row completes an
+    occurrence, so a sequence with o open columns has 2^o - 1 avoiding
+    next rows: A_{r+1} = sum_s (2^o(s) - 1) over the avoiding s of
     length r, and the walk visits only sequences of at most N - 1 rows.
-    A child's mask starts from its parent's, which only grows down the
-    walk, and runs one pinned `_rows_contain` search for each column
-    still open in `room`: the columns with p_k - 1 below and k - p_k
-    above.
+    A child's state is its parent's advanced by the effect of its last
+    row, folded column by column.
     """
     if n < 1 or m < 1:
         raise ParseError("n and m must be >= 1")
@@ -208,41 +208,29 @@ def census_avoiding_graphs(n: int, m: int, pattern: Word) -> int:
     if cells > DEFAULT_CENSUS_CELLS:
         raise BudgetExceeded(f"census over 2^{cells} graphs exceeds the "
                              f"guard of 2^{DEFAULT_CENSUS_CELLS}")
-    k = pattern.length
-    if k > n:
+    if pattern.length > n:
         return 1 << cells
-    nbrs = _neighbour_lists(pattern_graph(pattern))
-    head, last = nbrs[:-1], nbrs[-1][0]
-    room = ((1 << (n - k + 1)) - 1) << last
+    engine = _RowEngine(n, adjacency(pattern_graph(pattern)).cells)
     full = (1 << n) - 1
-    rows: list[int] = []
     weight = [math.comb(n * m, r) for r in range(n * m + 1)]
 
-    def closed(shut: int) -> int:
-        """shut plus every column of room that rows close."""
-        for j in range(n):
-            if ((room & ~shut) >> j & 1 and _rows_contain(
-                    rows, n, head, k, ((last, j),)) is not None):
-                shut |= 1 << j
-        return shut
-
-    def walk(shut: int) -> int:
-        """Count the graphs whose non-empty rows are rows followed by at
-        least one more; r such rows lie among the N rows in C(N, r)
-        ways.  shut is the mask of rows."""
-        free = full & ~shut
-        r = len(rows) + 1
-        found = weight[r] * ((1 << free.bit_count()) - 1)
-        if r < n * m:
+    def walk(state: tuple, r: int) -> int:
+        """Count the graphs whose non-empty rows are r rows that reach
+        state followed by at least one more; r + 1 such rows lie among
+        the N rows in C(N, r + 1) ways."""
+        free = full & ~engine.blocked(state)
+        found = weight[r + 1] * ((1 << free.bit_count()) - 1)
+        if r + 1 < n * m:
+            rows = _RowClasses(engine, state, n * m - 1 - r)
             row = free
             while row:
-                rows.append(row)
-                found += walk(closed(shut))
-                rows.pop()
+                effect = reduce(rows.step, [c for c in rows.cols
+                                            if row >> c & 1], rows.none)
+                found += walk(rows.after(effect), r + 1)
                 row = (row - 1) & free
         return found
 
-    return 1 + walk(closed(0))
+    return 1 + walk((), 0)
 
 
 @dataclass(frozen=True)

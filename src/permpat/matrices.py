@@ -158,7 +158,14 @@ def matrix_contains(P: BinaryMatrix, Q: BinaryMatrix) -> bool:
 # distinct set of grown embeddings.
 
 class _RowEngine:
-    """Value-to-go over (grid row, state) for one pattern and grid side."""
+    """Row-transfer states for one pattern on n grid columns.
+
+    It serves two searches.  `value` and `witness` give the extremal
+    function over the n x n grid.  The census walk in `bigraphs` moves a
+    state itself, with `blocked` and `_RowClasses`, over up to n*m rows.
+    Either caller passes `_RowClasses` the number of rows left after the
+    next one, so a state keeps only the embeddings those rows can
+    complete."""
 
     def __init__(self, n: int, qcells: Sequence[Sequence[int]]):
         sigma = [row.index(1) for row in qcells]

@@ -154,18 +154,13 @@ def complement(word: Word) -> Word:
 
 
 def _rows_contain(rows: list[int], pb: int,
-                  nbrs: tuple[tuple[int, ...], ...], qb: int,
-                  pins: tuple[tuple[int, int], ...] = ()) -> list[int] | None:
+                  nbrs: tuple[tuple[int, ...], ...],
+                  qb: int) -> list[int] | None:
     """Ordered containment of Q in P: the 0-based images of Q's left
     vertices, or None.  P is one right-neighbour bitmask per left vertex
     (bit j of rows[u] is the edge (u+1, j+1)) on pb right vertices; Q is
     the ascending 0-indexed right neighbours of each left vertex on qb
-    right vertices.  Each (w, c) in pins fixes the image of Q's right
-    vertex w to P's right vertex c before the search starts, so only
-    injections that agree with every pin count.  A pin's room (w right
-    vertices below c, qb-1-w above) is enforced through the windows of
-    Q's other right vertices, so every right vertex of Q must have an
-    edge, or the caller checks that room itself.
+    right vertices.
 
     Backtracks over Q's left vertices in order, each over P's left
     vertices in increasing order.  Right images are pinned lazily: a pinned
@@ -180,8 +175,6 @@ def _rows_contain(rows: list[int], pb: int,
     if qn > pn or qb > pb:
         return None
     img = [-1] * qb
-    for w, c in pins:
-        img[w] = c
     slack = pb - qb
 
     def place(v: int, min_u: int) -> list[int] | None:

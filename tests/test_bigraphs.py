@@ -157,7 +157,7 @@ class TestCensus:
 
     def test_one_letter_pattern(self):
         # any edge is an occurrence of 1, so only the empty graph avoids
-        # it; the root's closure is the only place that shuts its columns
+        # it; the empty state already blocks every column
         for n, m in ((1, 1), (2, 3), (4, 1)):
             assert census_avoiding_graphs(n, m, W("1")) == 1
 
@@ -196,8 +196,8 @@ class TestCensus:
     def test_symmetric_images_agree(self):
         # reversing the rows or the columns of a graph maps the avoiders
         # of p onto those of its reverse or complement.  The walk appends
-        # rows from the first, and its closures pin the last letter, so
-        # each image runs a different search
+        # rows from the first and reads each image through that image's
+        # own pattern plan, so each image runs a different search
         for n, m in ((4, 1), (3, 2)):
             census = {p: census_avoiding_graphs(n, m, Word(p))
                       for p in permutations(range(1, n + 1))}
@@ -217,6 +217,14 @@ class TestCensus:
         # each placed among the six rows by its binomial weight
         assert census_avoiding_graphs(3, 2, W("123")) == 90112
         assert census_avoiding_graphs(3, 2, W("132")) == 90112
+
+    def test_pattern_shorter_than_n(self):
+        # k < n with m >= 2, which no verify check reaches at n = 3: a
+        # graph avoids 12 exactly when each non-empty row's highest
+        # column is at most the lowest column of the rows above it, and
+        # a scan of all 2^18 masks by that rule counts 2176
+        assert census_avoiding_graphs(3, 2, W("12")) == 2176
+        assert census_avoiding_graphs(3, 2, W("21")) == 2176
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceeded):

@@ -1,13 +1,12 @@
 import random
-from itertools import combinations
 
 import pytest
 
 from permpat.errors import ParseError
-from permpat.verify import SMALL_PATTERNS, _all_words_of_length
-from permpat.words import (MultisetSpec, Word, _rows_contain, canonical_form,
-                           complement, contained_patterns, contains,
-                           find_occurrence, reverse)
+from permpat.verify import _all_words_of_length
+from permpat.words import (MultisetSpec, Word, canonical_form, complement,
+                           contained_patterns, contains, find_occurrence,
+                           reverse)
 
 
 def W(text):
@@ -101,32 +100,6 @@ class TestContains:
 
     def test_pattern_longer_than_word(self):
         assert not contains(W("12"), W("123"))
-
-
-class TestPinnedKernel:
-    def test_single_pin_against_all_injections(self):
-        # every graph on ([3],[3]) against every small pattern's incidence
-        # graph, with the image of one right vertex w fixed to column c
-        for text in SMALL_PATTERNS:
-            q = W(text).entries
-            qb = max(q)
-            nbrs = tuple((v - 1,) for v in q)
-            for mask in range(1 << 9):
-                rows = [mask >> 3 * u & 7 for u in range(3)]
-                # the (w, c) some pair of injections f, g with g(w) = c
-                # maps every edge (i, q_i) onto
-                hits = {(w, g[w])
-                        for f in combinations(range(3), len(q))
-                        for g in combinations(range(3), qb)
-                        if all(rows[f[i]] >> g[v - 1] & 1
-                               for i, v in enumerate(q))
-                        for w in range(qb)}
-                for w in range(qb):
-                    for c in range(3):
-                        got = _rows_contain(rows, 3, nbrs, qb, ((w, c),))
-                        assert (got is not None) == ((w, c) in hits), (
-                            text, rows, w, c)
-                assert rows == [mask >> 3 * u & 7 for u in range(3)]
 
 
 class TestCanonicalize:

@@ -58,7 +58,7 @@ MUTANTS = (
     Mutant("the kernel's column window starts one too low",
            "words.py", "lo = img[k] + w - k", "lo = img[k] + w - k - 1",
            ("core:bruteforce-agreement", "contraction:encoding-equivalence",
-            "proof-chain:census-exhaustive")),
+            "proof-chain:census-fiber-inequality")),
     Mutant("the kernel places a pattern row one row short of the end",
            "words.py", "pn - qn + v + 1", "pn - qn + v",
            ("core:bruteforce-agreement", "matrix:word-matrix-consistency",
@@ -96,14 +96,15 @@ MUTANTS = (
            "matrices.py", "pc - (qc - 1 - c)", "pc - (qc - c)",
            ("matrix:word-matrix-consistency",
             "contraction:matrix-equivalence")),
-    Mutant("the census room is one column short",
-           "bigraphs.py", "n - k + 1", "n - k",
-           ("proof-chain:census-exhaustive",
-            "proof-chain:census-full-width")),
-    Mutant("a new census row skips the closure",
-           "bigraphs.py", "found += walk(closed(shut))", "found += walk(shut)",
-           ("proof-chain:census-exhaustive",
-            "proof-chain:census-full-width")),
+    Mutant("a new census row keeps its parent's state",
+           "bigraphs.py", "walk(rows.after(effect), r + 1)",
+           "walk(state, r + 1)",
+           ("proof-chain:census-exhaustive", "proof-chain:census-full-width",
+            "proof-chain:census-fiber-inequality")),
+    Mutant("the census prunes with one row too few left",
+           "bigraphs.py", "n * m - 1 - r", "n * m - 2 - r",
+           ("proof-chain:census-exhaustive", "proof-chain:census-full-width",
+            "proof-chain:census-fiber-inequality")),
     Mutant("the census places r rows by C(N - 1, r)",
            "bigraphs.py", "math.comb(n * m, r)", "math.comb(n * m - 1, r)",
            ("proof-chain:census-exhaustive",
@@ -114,7 +115,7 @@ MUTANTS = (
            ("proof-chain:census-exhaustive",
             "proof-chain:census-full-width")),
     Mutant("the census walk stops one row short",
-           "bigraphs.py", "if r < n * m:", "if r < n * m - 1:",
+           "bigraphs.py", "if r + 1 < n * m:", "if r + 1 < n * m - 1:",
            ("proof-chain:census-exhaustive",
             "proof-chain:census-full-width")),
     Mutant("fiber_size counts the empty subset of a block's edges",
