@@ -28,32 +28,33 @@ avoids exactly when it misses that mask, so the last row is counted as
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
+from typing import Iterable, NamedTuple
 
 from .errors import BudgetExceeded, ParseError
 from .matrices import BinaryMatrix, _RowClasses, _RowEngine
 from .words import MultisetSpec, Word, _rows_contain
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
+class BipartiteGraph(namedtuple("BipartiteGraph",
+                                "left_size right_size edges")):
     """Ordered vertex classes [left_size], [right_size] and an edge set."""
 
-    left_size: int
-    right_size: int
-    edges: frozenset[tuple[int, int]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        if self.left_size < 1 or self.right_size < 1:
+    def __new__(cls, left_size: int, right_size: int,
+                edges: Iterable[tuple[int, int]]) -> BipartiteGraph:
+        edges = frozenset(edges)
+        if left_size < 1 or right_size < 1:
             raise ParseError("vertex classes must be nonempty")
-        for i, j in self.edges:
-            if not (1 <= i <= self.left_size and 1 <= j <= self.right_size):
+        for i, j in edges:
+            if not (1 <= i <= left_size and 1 <= j <= right_size):
                 raise ParseError(f"edge ({i},{j}) out of range")
+        return super().__new__(cls, left_size, right_size, edges)
 
     @classmethod
     def from_mask(cls, left_size: int, right_size: int, mask: int) -> "BipartiteGraph":
@@ -233,15 +234,13 @@ def census_avoiding_graphs(n: int, m: int, pattern: Word) -> int:
     return 1 + walk((), 0)
 
 
-@dataclass(frozen=True)
-class Power:
+class Power(namedtuple("Power", "base exponent")):
     """An exact value base**exponent whose exponent may be fractional."""
 
-    base: int
-    exponent: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "exponent", Fraction(self.exponent))
+    def __new__(cls, base: int, exponent: Fraction) -> Power:
+        return super().__new__(cls, base, Fraction(exponent))
 
     @property
     def value(self) -> int | None:
@@ -274,8 +273,7 @@ def _ratio(value: Fraction) -> str:
     return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
 
 
-@dataclass(frozen=True)
-class BoundRecord:
+class BoundRecord(NamedTuple):
     """Formula bounds for avoiding-graph counts at a given slope d."""
 
     n: int

@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
@@ -43,22 +43,19 @@ class CountWork(NamedTuple):
     transitions: int  # (state, letter) successors built over all layers
 
 
-@dataclass(frozen=True)
-class CountRecord:
+class CountRecord(namedtuple("CountRecord",
+                             "spec pattern count total work")):
     """One exact counting result over a fixed multiset and pattern, with
     the engine's work (zero when the engine did not make the record)."""
 
-    spec: MultisetSpec
-    pattern: Word
-    count: int
-    total: int
-    work: CountWork = CountWork(0, 0, 0)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, spec: MultisetSpec, pattern: Word, count: int,
+                total: int, work: CountWork = CountWork(0, 0, 0)) -> CountRecord:
         # the engine produced the count, so a bad one is an internal fault
-        if not 0 <= self.count <= self.total:
-            raise ArithmeticError(
-                f"count {self.count} outside 0..{self.total}")
+        if not 0 <= count <= total:
+            raise ArithmeticError(f"count {count} outside 0..{total}")
+        return super().__new__(cls, spec, pattern, count, total, work)
 
     @property
     def n(self) -> int:

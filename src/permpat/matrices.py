@@ -11,25 +11,23 @@ next state, not one by one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ParseError
 from .words import _BOTH, _HI, _LO, Word, _antichain, _dominates, _plan
 
 
-@dataclass(frozen=True, order=True)
-class BinaryMatrix:
+class BinaryMatrix(namedtuple("BinaryMatrix", "cells")):
     """Rectangular 0/1 grid, stored row-major."""
 
-    cells: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        cells = tuple(tuple(row) for row in self.cells)
-        object.__setattr__(self, "cells", cells)
+    def __new__(cls, cells: Sequence[Sequence[int]]) -> BinaryMatrix:
+        cells = tuple(tuple(row) for row in cells)
         if not cells or not cells[0]:
             raise ParseError("matrix dimensions must be >= 1")
         width = len(cells[0])
@@ -37,6 +35,7 @@ class BinaryMatrix:
             raise ParseError("rows must all have the same length")
         if any(cell not in (0, 1) for row in cells for cell in row):
             raise ParseError("entries must be 0 or 1")
+        return super().__new__(cls, cells)
 
     @classmethod
     def parse(cls, text: str) -> "BinaryMatrix":
@@ -438,8 +437,7 @@ def _best_columns(mask: int, role: int) -> list[int]:
     return [(mask & -mask).bit_length() - 1]
 
 
-@dataclass(frozen=True)
-class ExtremalRecord:
+class ExtremalRecord(NamedTuple):
     """Exact extremal value with its certifying witness."""
 
     n: int

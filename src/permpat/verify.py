@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Iterator
+from time import perf_counter
+from typing import Iterator, NamedTuple
 
 from .bigraphs import (DEFAULT_CENSUS_CELLS, BipartiteGraph, adjacency,
                        bounds, census_avoiding_graphs, contract, fiber_size,
@@ -47,11 +48,11 @@ EXTREMAL_WORK = (("3142", 6, 295, 1395), ("213", 8, 707, 12713),
                  ("12", 14, 183, 1289))
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     passed: bool
     detail: str = ""
+    seconds: float = 0.0  # set by run_suite: time since the previous check
 
 
 def _check(name: str, failures: list, detail: str) -> Check:
@@ -62,14 +63,13 @@ def _check(name: str, failures: list, detail: str) -> Check:
     return Check(name, not failures, detail)
 
 
-@dataclass
-class RunManifest:
+class RunManifest(NamedTuple):
     """Machine-readable record of one verification run."""
 
     command: str
     parameters: dict
     seed: int
-    checks: list[Check] = field(default_factory=list)
+    checks: list[Check]
 
     @property
     def ok(self) -> bool:
@@ -85,8 +85,8 @@ class RunManifest:
             "command": self.command,
             "parameters": self.parameters,
             "seed": self.seed,
-            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
-                       for c in self.checks],
+            "python": ".".join(map(str, sys.version_info[:3])),
+            "checks": [c._asdict() for c in self.checks],
             "summary": self.summary,
             "ok": self.ok,
         }
@@ -775,21 +775,24 @@ def run_suite(suite: str, seed: int = DEFAULT_SEED) -> RunManifest:
         raise ParseError(f"unknown suite {suite!r}; "
                          f"choose from {', '.join([*SUITES, 'all'])}")
     names = list(SUITES) if suite == "all" else [suite]
-    manifest = RunManifest(command="verify",
-                           parameters={"suite": suite}, seed=seed)
+    manifest = RunManifest(command="verify", parameters={"suite": suite},
+                           seed=seed, checks=[])
     for name in names:
         # string seeding hashes via sha512, stable across processes
-        rng = random.Random(f"{seed}:{name}")
-        checks: list[Check] = []
-        try:
-            # extend appends each check as the suite yields it, so the
-            # checks made before a fault stay in the manifest
-            checks.extend(SUITES[name](rng))
-        except Exception as exc:
-            # a certificate refused an answer, or a checked routine failed:
-            # report the suite as failed and keep the manifest whole
-            checks.append(_check("internal-checks", [exc], "suite stopped"))
-        for check in checks:
-            manifest.checks.append(
-                Check(f"{name}:{check.name}", check.passed, check.detail))
+        checks = SUITES[name](random.Random(f"{seed}:{name}"))
+        while True:
+            # a check's time runs from the previous yield to its own, and
+            # the checks made before a fault stay in the manifest
+            start = perf_counter()
+            try:
+                check = next(checks, None)
+            except Exception as exc:
+                # a certificate refused an answer, or a checked routine
+                # failed: report the suite as failed and keep the manifest
+                # whole (the stopped suite ends the loop at the next step)
+                check = _check("internal-checks", [exc], "suite stopped")
+            if check is None:
+                break
+            manifest.checks.append(Check(f"{name}:{check.name}", check.passed,
+                                         check.detail, perf_counter() - start))
     return manifest

@@ -19,22 +19,20 @@ and `_antichain` keeps the partial embeddings no other one dominates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
 from .errors import ParseError
 
 
-@dataclass(frozen=True, order=True)
-class Word:
+class Word(namedtuple("Word", "entries")):
     """A nonempty sequence over {1, ..., max} using every value up to max."""
 
-    entries: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        entries = tuple(self.entries)
-        object.__setattr__(self, "entries", entries)
+    def __new__(cls, entries: Sequence[int]) -> Word:
+        entries = tuple(entries)
         if not entries:
             raise ParseError("a word needs at least one entry")
         if any(not isinstance(v, int) or v < 1 for v in entries):
@@ -52,6 +50,7 @@ class Word:
             more = top - len(values) - len(missing)
             raise ParseError(f"word value set has gaps: missing {missing}"
                              + (f" and {more} more" if more else ""))
+        return super().__new__(cls, entries)
 
     @classmethod
     def parse(cls, text: str) -> "Word":
@@ -94,19 +93,18 @@ class Word:
         return ",".join(str(v) for v in self.entries)
 
 
-@dataclass(frozen=True, order=True)
-class MultisetSpec:
+class MultisetSpec(namedtuple("MultisetSpec", "multiplicities")):
     """The ground multiset {1^m1, ..., n^mn}, given by its multiplicities."""
 
-    multiplicities: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        mults = tuple(self.multiplicities)
-        object.__setattr__(self, "multiplicities", mults)
+    def __new__(cls, multiplicities: Sequence[int]) -> MultisetSpec:
+        mults = tuple(multiplicities)
         if not mults:
             raise ParseError("a multiset spec needs n >= 1 values")
         if any(not isinstance(m, int) or m < 1 for m in mults):
             raise ParseError("multiplicities must be integers >= 1")
+        return super().__new__(cls, mults)
 
     @classmethod
     def regular(cls, n: int, m: int) -> "MultisetSpec":

@@ -278,8 +278,11 @@ class TestVerifyCommand:
                 "--format", "json")
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
-        assert first == second
-        blob = json.loads(first)
+        # only the check times may differ between the runs
+        blob, again = json.loads(first), json.loads(second)
+        for check in blob["checks"] + again["checks"]:
+            assert check.pop("seconds") >= 0
+        assert blob == again
         assert blob["seed"] == 42
         assert blob["ok"] is True
         assert all(c["passed"] for c in blob["checks"])
