@@ -16,14 +16,9 @@ avoiding graphs rests on one lemma: every left vertex of a permutation's
 pattern graph has exactly one edge, so an occurrence uses only non-empty
 rows, in order, and deleting a graph's empty rows neither creates nor
 destroys one.  With N = n*m, census(n, m, p) = sum_r C(N, r) * A_r,
-where A_r counts the avoiding sequences of r non-empty rows.  The walk
-appends rows to avoiding sequences and carries, in place of the rows,
-the state of the extremal search's row-transfer engine
-(`matrices._RowEngine`): the undominated partial occurrences that the
-rows left can still complete.  The engine's `blocked` mask holds the
-columns where a next row would complete an occurrence.  A next row
-avoids exactly when it misses that mask, so the last row is counted as
-2^open - 1 and never visited.
+where A_r counts the avoiding sequences of r non-empty rows.  Those are
+0-1 matrices, and the extremal search's row-transfer engine
+(`matrices._RowEngine`) counts them.
 """
 from __future__ import annotations
 
@@ -31,12 +26,11 @@ import math
 from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .errors import BudgetExceeded, ParseError
-from .matrices import BinaryMatrix, _RowClasses, _RowEngine
+from .matrices import BinaryMatrix, _RowEngine
 from .words import MultisetSpec, Word, _rows_contain
 
 
@@ -97,7 +91,7 @@ def ordered_contains(P: BipartiteGraph, Q: BipartiteGraph) -> bool:
     for i, j in P.edges:
         rows[i - 1] |= 1 << (j - 1)
     return _rows_contain(rows, P.right_size, _neighbour_lists(Q),
-                         Q.right_size) is not None
+                         Q.right_size, len(Q.edges)) is not None
 
 
 def _neighbour_lists(Q: BipartiteGraph) -> tuple[tuple[int, ...], ...]:
@@ -185,21 +179,10 @@ def census_avoiding_graphs(n: int, m: int, pattern: Word) -> int:
 
         census(n, m, p) = sum_{r=0..N} C(N, r) * A_r,
 
-    where A_r counts the avoiding sequences of r non-empty rows.  Adding
-    a row never destroys an occurrence, so the avoiding sequences are
-    closed under deleting the last row, and the census walks them from
-    the empty sequence, recursing only into children that avoid.  A
-    pattern longer than n fits into no graph, so all 2^(n*m*n) graphs
-    avoid it.
-
-    The walk reads the pattern's graph as a 0-1 matrix and carries, in
-    place of a sequence's rows, the extremal search's state after them.
-    `blocked` gives the columns where a next row completes an
-    occurrence, so a sequence with o open columns has 2^o - 1 avoiding
-    next rows: A_{r+1} = sum_s (2^o(s) - 1) over the avoiding s of
-    length r, and the walk visits only sequences of at most N - 1 rows.
-    A child's state is its parent's advanced by the effect of its last
-    row, folded column by column.
+    where A_r counts the avoiding sequences of r non-empty rows, read as
+    0-1 matrices against the pattern's: `matrices._RowEngine.sequences`
+    walks them.  A pattern longer than n fits into no graph, so all
+    2^(n*m*n) graphs avoid it.
     """
     if n < 1 or m < 1:
         raise ParseError("n and m must be >= 1")
@@ -211,27 +194,9 @@ def census_avoiding_graphs(n: int, m: int, pattern: Word) -> int:
                              f"guard of 2^{DEFAULT_CENSUS_CELLS}")
     if pattern.length > n:
         return 1 << cells
-    engine = _RowEngine(n, adjacency(pattern_graph(pattern)).cells)
-    full = (1 << n) - 1
-    weight = [math.comb(n * m, r) for r in range(n * m + 1)]
-
-    def walk(state: tuple, r: int) -> int:
-        """Count the graphs whose non-empty rows are r rows that reach
-        state followed by at least one more; r + 1 such rows lie among
-        the N rows in C(N, r + 1) ways."""
-        free = full & ~engine.blocked(state)
-        found = weight[r + 1] * ((1 << free.bit_count()) - 1)
-        if r + 1 < n * m:
-            rows = _RowClasses(engine, state, n * m - 1 - r)
-            row = free
-            while row:
-                effect = reduce(rows.step, [c for c in rows.cols
-                                            if row >> c & 1], rows.none)
-                found += walk(rows.after(effect), r + 1)
-                row = (row - 1) & free
-        return found
-
-    return 1 + walk((), 0)
+    sequences = _RowEngine([v - 1 for v in pattern.entries], n,
+                           n * m).sequences()
+    return sum(math.comb(n * m, r) * a for r, a in enumerate(sequences))
 
 
 class Power(namedtuple("Power", "base exponent")):

@@ -7,7 +7,8 @@ carry while avoiding a permutation matrix pattern, exactly, with a
 row-transfer search: rows are decided top to bottom over states made of
 the pattern's dominance-pruned partial embeddings, and the rows a state
 allows are searched as effect classes, one per distinct effect on the
-next state, not one by one.
+next state, not one by one.  The same engine walks the avoiding matrices
+without empty rows for the graph census in `bigraphs`.
 """
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .errors import BudgetExceeded, ParseError
-from .words import _BOTH, _HI, _LO, Word, _antichain, _dominates, _plan
+from .words import (_BOTH, _HI, _LO, Word, _antichain, _dominates, _plan,
+                    _rows_contain)
 
 
 class BinaryMatrix(namedtuple("BinaryMatrix", "cells")):
@@ -89,14 +91,15 @@ def perm_to_matrix(p: Word) -> BinaryMatrix:
     return BinaryMatrix(tuple(tuple(row) for row in cells))
 
 
-def _cells_contains(pcells: Sequence[Sequence[int]],
-                    qcells: Sequence[Sequence[int]]) -> bool:
-    """Containment over raw row-major grids.
+def matrix_contains(P: BinaryMatrix, Q: BinaryMatrix) -> bool:
+    """Does P contain Q as a submatrix pattern (1s of Q dominated)?
 
-    Tries every order-preserving row selection; columns are then matched
+    A reference apart from the shared kernel `words._rows_contain`: it
+    tries every order-preserving row selection, then matches columns
     greedily left to right, which is exact because a column's fitness
     depends only on the fixed row selection.
     """
+    pcells, qcells = P.cells, Q.cells
     qr, qc = len(qcells), len(qcells[0])
     pr, pc = len(pcells), len(pcells[0])
     if qr > pr or qc > pc:
@@ -119,14 +122,9 @@ def _cells_contains(pcells: Sequence[Sequence[int]],
     return False
 
 
-def matrix_contains(P: BinaryMatrix, Q: BinaryMatrix) -> bool:
-    """Does P contain Q as a submatrix pattern (1s of Q dominated)?"""
-    return _cells_contains(P.cells, Q.cells)
-
-
 # --- row-transfer engine -----------------------------------------------------
 #
-# Rows of the n x n grid are decided top to bottom, each as a bitmask with bit
+# Grid rows (n columns) are decided top to bottom, each a bitmask with bit
 # c for column c.  Row t of the k x k permutation pattern has its 1 in column
 # sigma(t).  An embedding (t, pins) maps the pattern's first t rows to earlier
 # grid rows; pattern row i then needs a grid column strictly between the pins
@@ -157,19 +155,17 @@ def matrix_contains(P: BinaryMatrix, Q: BinaryMatrix) -> bool:
 # distinct set of grown embeddings.
 
 class _RowEngine:
-    """Row-transfer states for one pattern on n grid columns.
+    """Row-transfer states for the pattern whose row t has its 1 in column
+    sigma[t], on a grid of `height` rows and n columns.
 
-    It serves two searches.  `value` and `witness` give the extremal
-    function over the n x n grid.  The census walk in `bigraphs` moves a
-    state itself, with `blocked` and `_RowClasses`, over up to n*m rows.
-    Either caller passes `_RowClasses` the number of rows left after the
-    next one, so a state keeps only the embeddings those rows can
-    complete."""
+    `value` and `witness` give the extremal function over the grid, and
+    `sequences` counts its avoiding row sequences for the census.  Each
+    passes `_RowClasses` the number of rows left after the next one, so a
+    state keeps only the embeddings those rows can complete."""
 
-    def __init__(self, n: int, qcells: Sequence[Sequence[int]]):
-        sigma = [row.index(1) for row in qcells]
+    def __init__(self, sigma: Sequence[int], n: int, height: int):
         self.steps, self.roles = _plan(sigma)
-        self.n, self.k = n, len(sigma)
+        self.n, self.k, self.height = n, len(sigma), height
         self.memo: dict[tuple[int, tuple], int] = {}
         self.transitions = 0    # successors built, one per effect class
         self.prune_memo: dict[tuple, tuple] = {}
@@ -234,16 +230,16 @@ class _RowEngine:
         return cached
 
     def value(self, r: int, state: tuple) -> int:
-        """Most 1s that rows r..n-1 can add without an occurrence."""
+        """Most 1s that rows r..height-1 can add without an occurrence."""
         key = (r, state)
         memo = self.memo
         if key in memo:
             return memo[key]
-        if r == self.n:
+        if r == self.height:
             return 0
         # no state does better than the empty one
         bound = self.value(r + 1, ())
-        rows = _RowClasses(self, state, self.n - 1 - r)
+        rows = _RowClasses(self, state, self.height - 1 - r)
         best = -1
         for effect, weight in _by_weight(rows.weights(rows.cols)):
             if weight + bound <= best:
@@ -257,12 +253,12 @@ class _RowEngine:
         (column 0 first, 1 before 0) that still reaches the optimum.  Each
         free column keeps a 1 when some class of the columns after it,
         joined to the row so far, still does."""
-        n = self.n
+        n, height = self.n, self.height
         grid, state = [], ()
-        for r in range(n):
+        for r in range(height):
             target = self.value(r, state)
             bound = self.value(r + 1, ())
-            rows = _RowClasses(self, state, n - 1 - r)
+            rows = _RowClasses(self, state, height - 1 - r)
             effect, weight, row = rows.none, 0, 0
             for i, c in enumerate(rows.cols):
                 grown = rows.step(effect, c)
@@ -279,6 +275,33 @@ class _RowEngine:
             grid.append(tuple(row >> c & 1 for c in range(n)))
             state = rows.after(effect)
         return tuple(grid)
+
+    def sequences(self) -> list[int]:
+        """Per r = 0..height, the sequences of r non-empty rows that avoid
+        the pattern.  Adding a row never destroys an occurrence, so they
+        are closed under deleting the last row: the walk grows them from
+        the empty one and recurses only into those that avoid.  A next row
+        avoids exactly when it misses `blocked`, so a sequence with o open
+        columns has 2^o - 1 avoiding next rows, counted and not visited."""
+        counts = [1] + [0] * self.height
+        full, last = (1 << self.n) - 1, self.height - 1
+
+        def walk(state: tuple, r: int) -> None:
+            free = full & ~self.blocked(state)
+            counts[r + 1] += (1 << free.bit_count()) - 1
+            if r < last:
+                rows = _RowClasses(self, state, last - r)
+                row = free
+                while row:
+                    effect = rows.none
+                    for c in rows.cols:
+                        if row >> c & 1:
+                            effect = rows.step(effect, c)
+                    walk(rows.after(effect), r + 1)
+                    row = (row - 1) & free
+
+        walk((), 0)
+        return counts
 
 
 class _RowClasses:
@@ -506,20 +529,24 @@ def extremal_f(n: int, pattern: BinaryMatrix, *,
     heaviest first.  The witness returned is the lexicographically largest
     optimal bit string in row-major order: each row is decided column by
     column, column 0 first, keeping a 1 when some completion of the later
-    columns still reaches the optimum.  It is re-checked with the full
-    _cells_contains before it is returned.  The record also counts the
-    memoized (row, state) entries and the successors built.
+    columns still reaches the optimum.  It is re-checked with the shared
+    kernel `words._rows_contain` before it is returned.  The record also
+    counts the memoized (row, state) entries and the successors built.
     """
     if n < 1:
         raise ParseError("n must be >= 1")
     _check_request(n, pattern, max_n)
 
-    engine = _RowEngine(n, pattern.cells)
+    sigma = [row.index(1) for row in pattern.cells]
+    engine = _RowEngine(sigma, n, n)
     value = engine.value(0, ())
     grid = engine.witness()
     if (len(grid) != n or any(len(row) != n for row in grid)
             or sum(map(sum, grid)) != value
-            or _cells_contains(grid, pattern.cells)):
+            or _rows_contain([sum(bit << c for c, bit in enumerate(row))
+                              for row in grid], n,
+                             tuple((c,) for c in sigma), engine.k, engine.k)
+            is not None):
         raise ArithmeticError(
             f"extremal search produced an invalid witness for n = {n}")
     return ExtremalRecord(n=n, pattern=pattern, value=value,

@@ -19,11 +19,12 @@ and `_antichain` keeps the partial embeddings no other one dominates.
 """
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
-from .errors import ParseError
+from .errors import BudgetExceeded, ParseError
 
 
 class Word(namedtuple("Word", "entries")):
@@ -151,14 +152,21 @@ def complement(word: Word) -> Word:
     return Word(tuple(top - v for v in word.entries))
 
 
+# Frames of the interpreter's recursion limit left to the kernel's callers;
+# pytest runs a test about 35 frames deep.
+_CALLER_FRAMES = 100
+
+
 def _rows_contain(rows: list[int], pb: int,
                   nbrs: tuple[tuple[int, ...], ...],
-                  qb: int) -> list[int] | None:
+                  qb: int, edges: int) -> list[int] | None:
     """Ordered containment of Q in P: the 0-based images of Q's left
     vertices, or None.  P is one right-neighbour bitmask per left vertex
     (bit j of rows[u] is the edge (u+1, j+1)) on pb right vertices; Q is
     the ascending 0-indexed right neighbours of each left vertex on qb
-    right vertices.
+    right vertices, `edges` of them in all.  The search nests about two
+    calls per left vertex of Q and one per edge, so a Q that would pass
+    the recursion limit is refused before it starts.
 
     Backtracks over Q's left vertices in order, each over P's left
     vertices in increasing order.  Right images are pinned lazily: a pinned
@@ -172,6 +180,11 @@ def _rows_contain(rows: list[int], pb: int,
     pn, qn = len(rows), len(nbrs)
     if qn > pn or qb > pb:
         return None
+    limit = sys.getrecursionlimit() - _CALLER_FRAMES
+    if 2 * qn + edges > limit:
+        raise BudgetExceeded(
+            f"containment search limited to 2*rows + edges <= {limit} "
+            f"for a pattern (got {qn} rows and {edges} edges)")
     img = [-1] * qb
     slack = pb - qb
 
@@ -354,7 +367,7 @@ def _occurrence(word: Word, pattern: Word) -> list[int] | None:
     return _rows_contain([1 << (v - 1) for v in word.entries],
                          word.max_value,
                          tuple((v - 1,) for v in pattern.entries),
-                         pattern.max_value)
+                         pattern.max_value, pattern.length)
 
 
 def contains(word: Word, pattern: Word) -> bool:

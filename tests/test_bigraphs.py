@@ -1,10 +1,11 @@
 import math
 import random
+import sys
 from itertools import permutations
 
 import pytest
 
-from permpat import bigraphs
+from permpat import bigraphs, matrices, words
 from permpat.bigraphs import (MAX_BOUND_DIGITS, BipartiteGraph, Power,
                               adjacency, bounds, census_avoiding_graphs,
                               contract, fiber_size, graph_of_word,
@@ -87,6 +88,24 @@ class TestOrderedContains:
     def test_word_consequence(self):
         assert ordered_contains(pattern_graph(W("23718465")),
                                 pattern_graph(W("312")))
+
+    def test_depth_guard(self):
+        # the search nests about two calls per pattern row and one per
+        # edge: patterns at the guard answer, and one row or edge more is
+        # refused before the search, as is a 400-row pattern, which used
+        # to end in RecursionError
+        limit = sys.getrecursionlimit() - words._CALLER_FRAMES
+        rows = pattern_graph(Word(range(1, limit // 3 + 1)))
+        assert ordered_contains(rows, rows)
+        fan = BipartiteGraph(1, limit - 2,
+                             frozenset((1, j) for j in range(1, limit - 1)))
+        assert ordered_contains(fan, fan)
+        for Q in (pattern_graph(Word(range(1, limit // 3 + 2))),
+                  BipartiteGraph(1, limit - 1,
+                                 frozenset((1, j) for j in range(1, limit))),
+                  pattern_graph(Word(range(1, 401)))):
+            with pytest.raises(BudgetExceeded, match=f"<= {limit} "):
+                ordered_contains(Q, Q)
 
 
 class TestAdjacency:
@@ -225,6 +244,24 @@ class TestCensus:
         # a scan of all 2^18 masks by that rule counts 2176
         assert census_avoiding_graphs(3, 2, W("12")) == 2176
         assert census_avoiding_graphs(3, 2, W("21")) == 2176
+
+    def test_rows_visited(self, monkeypatch):
+        # the walk builds one successor state per row it visits, and only
+        # for rows that leave a next row to count
+        after = matrices._RowClasses.after
+        visits = []
+
+        def counted(self, effect):
+            visits.append(effect)
+            return after(self, effect)
+
+        monkeypatch.setattr(matrices._RowClasses, "after", counted)
+        for n, m, p, want in ((2, 4, "12", 63), (2, 4, "21", 63),
+                              (4, 1, "123", 2335), (4, 1, "321", 2335),
+                              (3, 2, "132", 7895), (3, 2, "12", 175)):
+            visits.clear()
+            census_avoiding_graphs(n, m, W(p))
+            assert len(visits) == want, (n, m, p)
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceeded):

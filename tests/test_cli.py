@@ -36,6 +36,8 @@ def test_import_loads_no_pool_machinery():
 MATRICES = {"id2.txt": "10\n01\n", "bad.txt": "10\nxx\n",
             "not-perm.txt": "11\n01\n", "latin-1.txt": "\xff\n"}
 EXTREMAL = "extremal --matrix-file {dir}/"
+LONG_WORD = ",".join(map(str, range(1, 661)))
+LONG_PATTERN = ",".join(map(str, range(1, 331)))
 # bounds at d = 10^-5000: 15^(2d), 225^d and 450^d, none an integer
 TINY_SLOPE = "1/1" + "0" * 5000
 TINY_SLOPE_BOUNDS = json.dumps({
@@ -52,6 +54,9 @@ EXIT_TABLE = [  # (argv, exit code, stdout, stderr fragment)
      "parse_error"),
     ("contains --word 13 --pattern 12", 2, "", "gaps: missing [2]",
      "gap_rejected"),
+    # the kernel's recursion would pass the interpreter's limit
+    (f"contains --word {LONG_WORD} --pattern {LONG_PATTERN}", 3, "",
+     "containment search limited to 2*rows + edges <= ", "long_pattern"),
     ("contains --word 1,a --pattern 1", 2, "",
      "not a comma-separated word: '1,a'", "comma_word_not_decimal"),
     # int() refuses these with a plain ValueError, which would exit 3

@@ -26,7 +26,7 @@ def no_search(monkeypatch):
     """Fail the test if any extremal search step runs."""
     def fail(*args):
         raise AssertionError("containment check ran before the size guard")
-    monkeypatch.setattr(matrices, "_cells_contains", fail)
+    monkeypatch.setattr(matrices, "_rows_contain", fail)
     monkeypatch.setattr(matrices._RowEngine, "blocked", fail)
 
 
@@ -215,7 +215,8 @@ class TestEffectClasses:
         # room rule one step later, so only the first assertion sees one.
         for text in self.PATTERNS:
             for n in range(1, 6):
-                engine = matrices._RowEngine(n, perm_to_matrix(W(text)).cells)
+                engine = matrices._RowEngine([v - 1 for v in W(text).entries],
+                                             n, n)
                 engine.value(0, ())
                 for r, state in list(engine.memo):
                     rows_after = n - 1 - r
@@ -250,7 +251,7 @@ class TestEffectClasses:
                     assert rows.weights(rows.cols) == heaviest, (text, n, r)
 
     def test_allowed_rows_avoid_the_blocked_columns(self):
-        engine = matrices._RowEngine(5, IDENTITY2.cells)
+        engine = matrices._RowEngine([0, 1], 5, 5)
         engine.value(0, ())
         for r, state in engine.memo:
             rows = matrices._RowClasses(engine, state, 4 - r)

@@ -100,6 +100,15 @@ class TestContains:
 
     def test_pattern_longer_than_word(self):
         assert not contains(W("12"), W("123"))
+        # answered before the kernel's depth guard, however long
+        assert not contains(W("1"), Word(range(1, 1001)))
+
+    def test_long_pattern(self):
+        # well inside the kernel's depth guard (the CLI exit table holds a
+        # pattern past it)
+        word = Word([*range(200, 100, -1), *range(1, 101)])
+        assert find_occurrence(word, Word(range(1, 101))) == tuple(
+            range(101, 201))
 
 
 class TestCanonicalize:

@@ -97,12 +97,12 @@ MUTANTS = (
            ("matrix:word-matrix-consistency",
             "contraction:matrix-equivalence")),
     Mutant("a new census row keeps its parent's state",
-           "bigraphs.py", "walk(rows.after(effect), r + 1)",
+           "matrices.py", "walk(rows.after(effect), r + 1)",
            "walk(state, r + 1)",
            ("proof-chain:census-exhaustive", "proof-chain:census-full-width",
             "proof-chain:census-fiber-inequality")),
     Mutant("the census prunes with one row too few left",
-           "bigraphs.py", "n * m - 1 - r", "n * m - 2 - r",
+           "matrices.py", "state, last - r)", "state, last - r - 1)",
            ("proof-chain:census-exhaustive", "proof-chain:census-full-width",
             "proof-chain:census-fiber-inequality")),
     Mutant("the census places r rows by C(N - 1, r)",
@@ -110,14 +110,27 @@ MUTANTS = (
            ("proof-chain:census-exhaustive",
             "proof-chain:census-full-width")),
     Mutant("the census's last row may be empty",
-           "bigraphs.py", "((1 << free.bit_count()) - 1)",
+           "matrices.py", "(1 << free.bit_count()) - 1",
            "(1 << free.bit_count())",
            ("proof-chain:census-exhaustive",
             "proof-chain:census-full-width")),
     Mutant("the census walk stops one row short",
-           "bigraphs.py", "if r + 1 < n * m:", "if r + 1 < n * m - 1:",
+           "matrices.py", "if r < last:", "if r < last - 1:",
            ("proof-chain:census-exhaustive",
             "proof-chain:census-full-width")),
+    Mutant("an effect keeps the lowest hit of a pin read as an upper end",
+           "matrices.py", "if hits > bit:", "if hits and hits < bit:",
+           ("matrix:internal-checks", "proof-chain:census-exhaustive",
+            "proof-chain:census-fiber-inequality")),
+    Mutant("joined effects keep the highest hit of a lower end",
+           "matrices.py", "else min(x, y) if role == _LO",
+           "else max(x, y) if role == _LO",
+           ("matrix:small-exhaustive-crosscheck", "matrix:engine-work")),
+    Mutant("the state after a row drops the embeddings it carries",
+           "matrices.py", "self.carried.union([", "frozenset().union([",
+           ("matrix:internal-checks", "proof-chain:census-exhaustive",
+            "proof-chain:census-full-width",
+            "proof-chain:census-fiber-inequality")),
     Mutant("fiber_size counts the empty subset of a block's edges",
            "bigraphs.py", "2 ** mults[i - 1] - 1", "2 ** mults[i - 1]",
            ("proof-chain:fiber-single-edge", "proof-chain:fiber-partition",
