@@ -23,15 +23,16 @@ where A_r counts the avoiding sequences of r non-empty rows.  Those are
 from __future__ import annotations
 
 import math
+import sys
 from collections import namedtuple
-from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .errors import BudgetExceeded, ParseError
 from .matrices import BinaryMatrix, _RowEngine
-from .words import MultisetSpec, Word, _rows_contain
+from .words import (_CALLER_FRAMES, MultisetSpec, Word, _decimal,
+                    _rows_contain)
 
 
 class BipartiteGraph(namedtuple("BipartiteGraph",
@@ -157,16 +158,6 @@ def fiber_size(Gp: BipartiteGraph, spec: MultisetSpec) -> int:
     return out
 
 
-# Largest n*m*n the census walks.  On Python 3.11.7 (2 vCPUs, busy host)
-# the slowest admitted censuses take about 0.02-0.04 s (the 3-patterns on
-# (3,2)), 0.008 s (the 4-patterns on (4,1)) and 1.2 ms (12 and 21 on
-# (2,6)).  Past the guard the work follows the avoiding sequences of at
-# most n*m - 1 non-empty rows, not the cells: 12345 on (5,1) (25 cells)
-# visits 954,305 in 1.7 s, 123 and 321 on (3,3) (27 cells) visit 541,281
-# in 1.7 s, and 12 on (2,12) (48 cells) visits 576 in 4 ms.
-DEFAULT_CENSUS_CELLS = 24
-
-
 def census_avoiding_graphs(n: int, m: int, pattern: Word) -> int:
     """Count bipartite graphs on ([n*m],[n]) avoiding the pattern's graph.
 
@@ -181,19 +172,24 @@ def census_avoiding_graphs(n: int, m: int, pattern: Word) -> int:
 
     where A_r counts the avoiding sequences of r non-empty rows, read as
     0-1 matrices against the pattern's: `matrices._RowEngine.sequences`
-    walks them.  A pattern longer than n fits into no graph, so all
-    2^(n*m*n) graphs avoid it.
+    walks them, within the work limit.  A pattern longer than n fits
+    into no graph, so all 2^(n*m*n) graphs avoid it, and that power is
+    refused past MAX_BOUND_DIGITS digits before it is formed.  The walk
+    nests one call per row, so n*m rows past the interpreter's recursion
+    limit (less the frames left to callers) are refused before it starts.
     """
     if n < 1 or m < 1:
         raise ParseError("n and m must be >= 1")
     if not pattern.is_permutation:
         raise ParseError("census pattern must be an ordinary permutation")
-    cells = n * m * n
-    if cells > DEFAULT_CENSUS_CELLS:
-        raise BudgetExceeded(f"census over 2^{cells} graphs exceeds the "
-                             f"guard of 2^{DEFAULT_CENSUS_CELLS}")
     if pattern.length > n:
+        cells = n * m * n
+        _guard_digits("census", math.log10(2), cells)
         return 1 << cells
+    limit = sys.getrecursionlimit() - _CALLER_FRAMES
+    if n * m > limit:
+        raise BudgetExceeded(f"census walk limited to n*m <= {limit} rows "
+                             f"(got {n * m})")
     sequences = _RowEngine([v - 1 for v in pattern.entries], n,
                            n * m).sequences()
     return sum(math.comb(n * m, r) * a for r, a in enumerate(sequences))
@@ -220,15 +216,6 @@ class Power(namedtuple("Power", "base exponent")):
             "exponent": _ratio(self.exponent),
             "value": None if value is None else _decimal(value),
         }
-
-
-def _decimal(value: int) -> str:
-    """Exact decimal digits of an integer of any size.
-
-    str(int) refuses values past the interpreter's digit limit (4300
-    digits by default); Decimal conversion is exact and not limited.
-    """
-    return str(Decimal(value))
 
 
 def _ratio(value: Fraction) -> str:
@@ -259,7 +246,8 @@ class BoundRecord(NamedTuple):
         }
 
 
-# Largest number of decimal digits `bounds` lets a base or a value reach.
+# Largest number of decimal digits `bounds` lets a base or a value reach,
+# and the census a power of 2.
 # Rendering grows with the square of the digit count: on Python 3.11.7 (2
 # vCPUs) one 100,000-digit value is formed and rendered in 0.23 s, and
 # `permpat bounds` prints a record at the cap in under 0.7 s.

@@ -22,7 +22,7 @@ from .counting import (count_multiset_avoiders, records_to_csv,
 from .errors import BudgetExceeded, ParseError
 from .matrices import BinaryMatrix, extremal_table
 from .verify import DEFAULT_SEED, SUITES, run_suite
-from .words import MultisetSpec, Word, find_occurrence
+from .words import MultisetSpec, Word, _decimal, find_occurrence
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -94,7 +94,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_census(args) -> int:
     pattern = Word.parse(args.pattern)
-    print(census_avoiding_graphs(args.n, args.m, pattern))
+    print(_decimal(census_avoiding_graphs(args.n, args.m, pattern)))
     return EXIT_OK
 
 

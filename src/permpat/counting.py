@@ -21,17 +21,13 @@ from collections import namedtuple
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
+from . import errors
 from .errors import BudgetExceeded, ParseError
-from .words import (_HI, _LO, MultisetSpec, Word, _antichain, _plan,
+from .words import (_HI, _LO, MultisetSpec, Word, _antichain, _decimal, _plan,
                     canonical_form, contains_bruteforce)
 
-# Upper bound on the number of arrangements an exact count may range over.
-DEFAULT_MAX_TOTAL = 10_000_000
 # Upper bound on the length of a counted multiset.  The counter runs one
-# layer per letter, and DEFAULT_MAX_TOTAL alone admits any length when the
-# multiset has one value, or one value and a singleton (at most length
-# arrangements).  At the cap the slowest count measured took about 3 s
-# (Python 3.11, 2 vCPUs): (1, 99999) against 2121.
+# layer per letter, so a length is refused before any layer is built.
 _MAX_LAYERS = 100_000
 
 
@@ -67,8 +63,12 @@ class CountRecord(namedtuple("CountRecord",
 
     @property
     def growth(self) -> float:
-        """Per-symbol root count**(1/length); the exponential-shape diagnostic."""
-        return self.count ** (1.0 / self.length)
+        """Per-symbol root count**(1/length); the exponential-shape
+        diagnostic, taken through logarithms so that a count past the
+        float range has one too."""
+        if not self.count:
+            return 0.0
+        return math.exp(math.log(self.count) / self.length)
 
     def as_dict(self) -> dict:
         mults = self.spec.multiplicities
@@ -77,8 +77,8 @@ class CountRecord(namedtuple("CountRecord",
             "n": self.n,
             "m": m,
             "pattern": str(self.pattern),
-            "count": str(self.count),
-            "total": str(self.total),
+            "count": _decimal(self.count),
+            "total": _decimal(self.total),
             "growth": self.growth,
             **self.work._asdict(),
         }
@@ -118,20 +118,14 @@ def regular_spec(n: int, m: int) -> MultisetSpec:
     return MultisetSpec.regular(n, m)
 
 
-def _budgeted_total(spec: MultisetSpec) -> int:
-    """total_words(spec), or a refusal judged from logarithms before it is
-    formed, with a margin so lgamma's rounding never refuses a fit total.
-    A multiset longer than _MAX_LAYERS is refused before any of that."""
-    _guard_layers(spec.length)
-    top = math.lgamma(spec.length + 1)
-    log_total = top - math.fsum(math.lgamma(m + 1)
-                                for m in spec.multiplicities)
-    if (log_total > math.log(DEFAULT_MAX_TOTAL) + 1e-9 * (1 + top)
-            or (total := total_words(spec)) > DEFAULT_MAX_TOTAL):
+def _guard_values(n: int) -> None:
+    """Refuse a multiset of more than sqrt(WORK_LIMIT) distinct values: the
+    engine's first state alone builds n letters of n multiplicities each,
+    which is past the work limit even where no transition follows."""
+    if n * n > errors.WORK_LIMIT:
         raise BudgetExceeded(
-            f"about 10^{log_total / math.log(10):.1f} arrangements exceed "
-            f"the counting budget of {DEFAULT_MAX_TOTAL}")
-    return total
+            f"count engine: {n} distinct values would build {n * n} letter "
+            f"entries, past the work limit of {errors.WORK_LIMIT}")
 
 
 def stirling_count(n: int, m: int) -> int:
@@ -242,6 +236,7 @@ class _Engine:
         self.memo: dict[tuple, tuple] = {}
         self.antichains: dict[frozenset, frozenset] = {}
         self.work = CountWork(0, 0, 0)  # of the last count
+        self.spent = 0  # transitions over every count, against WORK_LIMIT
 
     def letters(self, avail: tuple[int, ...]) -> tuple:
         """Per letter a_j, the multiplicities it leaves and the re-coding
@@ -356,22 +351,32 @@ class _Engine:
     def count(self, avail: tuple[int, ...]) -> int:
         """Avoiding arrangements of the multiset with multiplicities
         avail; each layer maps a state to the number of prefixes that
-        reach it.  Its work is left in self.work."""
+        reach it.  Its work is left in self.work and added to self.spent,
+        and a count that would take self.spent past WORK_LIMIT is refused
+        at the first state that does."""
+        _guard_values(len(avail))
         successors = self.successors
         layer = {(avail, frozenset()): 1}
         layers, peak, transitions = sum(avail), 1, 0
+        budget = errors.WORK_LIMIT - self.spent
         for _ in range(layers):
             self.memo, self.antichains = {}, {}
             nxt: dict = {}
             for state, ways in layer.items():
                 after = successors(*state)
                 transitions += len(after)
+                if transitions > budget:
+                    raise BudgetExceeded(
+                        f"count engine: {self.spent + transitions} "
+                        "transitions pass the work limit of "
+                        f"{errors.WORK_LIMIT}")
                 for state_after in after:
                     nxt[state_after] = nxt.get(state_after, 0) + ways
             layer = nxt
             peak = max(peak, len(layer))
         self.memo, self.antichains = {}, {}
         self.work = CountWork(layers, peak, transitions)
+        self.spent += transitions
         return sum(layer.values())
 
 
@@ -386,11 +391,15 @@ def count_multiset_avoiders(spec: MultisetSpec, pattern: Word, *,
     """
     if workers < 1:
         raise ParseError(f"workers must be >= 1, got {workers}")
-    total = _budgeted_total(spec)
-    engine = _Engine(pattern.entries)
+    _guard_layers(spec.length)
+    return _record(_Engine(pattern.entries), spec, pattern)
+
+
+def _record(engine: _Engine, spec: MultisetSpec, pattern: Word) -> CountRecord:
+    """The engine's count of spec's arrangements avoiding its pattern."""
     count = engine.count(spec.multiplicities)
-    return CountRecord(spec=spec, pattern=pattern, count=count, total=total,
-                       work=engine.work)
+    return CountRecord(spec=spec, pattern=pattern, count=count,
+                       total=total_words(spec), work=engine.work)
 
 
 def count_avoiders(n: int, pattern: Word, *, workers: int = 1) -> CountRecord:
@@ -416,12 +425,15 @@ def count_multiset_avoiders_bruteforce(spec: MultisetSpec, pattern: Word) -> int
 
 
 def sequence(pattern: Word, n_max: int, m: int = 1) -> list[CountRecord]:
-    """Tabulate avoider counts on [n]_m for n = 1..n_max, each computed
-    independently, once the budget has passed at n_max, the largest total."""
+    """Tabulate avoider counts on [n]_m for n = 1..n_max.  The size guards
+    are judged at n_max before any count starts, and the counts share one
+    engine, so the whole table spends at most WORK_LIMIT transitions."""
     if n_max < 1:
         raise ParseError("n_max must be >= 1")
-    _budgeted_total(regular_spec(n_max, m))
-    return [count_multiset_avoiders(MultisetSpec.regular(n, m), pattern)
+    regular_spec(n_max, m)
+    _guard_values(n_max)
+    engine = _Engine(pattern.entries)
+    return [_record(engine, MultisetSpec.regular(n, m), pattern)
             for n in range(1, n_max + 1)]
 
 

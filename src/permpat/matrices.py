@@ -18,6 +18,7 @@ from itertools import combinations
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
+from . import errors
 from .errors import BudgetExceeded, ParseError
 from .words import (_BOTH, _HI, _LO, Word, _antichain, _dominates, _plan,
                     _rows_contain)
@@ -282,14 +283,24 @@ class _RowEngine:
         are closed under deleting the last row: the walk grows them from
         the empty one and recurses only into those that avoid.  A next row
         avoids exactly when it misses `blocked`, so a sequence with o open
-        columns has 2^o - 1 avoiding next rows, counted and not visited."""
+        columns has 2^o - 1 avoiding next rows, counted and not visited.
+        Where rows follow, the walk visits them all, so their visits are
+        charged together against WORK_LIMIT before the first one."""
         counts = [1] + [0] * self.height
         full, last = (1 << self.n) - 1, self.height - 1
+        spent = 0
 
         def walk(state: tuple, r: int) -> None:
+            nonlocal spent
             free = full & ~self.blocked(state)
-            counts[r + 1] += (1 << free.bit_count()) - 1
+            children = (1 << free.bit_count()) - 1
+            counts[r + 1] += children
             if r < last:
+                spent += children
+                if spent > errors.WORK_LIMIT:
+                    raise BudgetExceeded(
+                        f"census walk: {spent} row visits pass the work "
+                        f"limit of {errors.WORK_LIMIT}")
                 rows = _RowClasses(self, state, last - r)
                 row = free
                 while row:

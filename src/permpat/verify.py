@@ -19,14 +19,14 @@ from itertools import combinations, permutations, product
 from time import perf_counter
 from typing import Iterator, NamedTuple
 
-from .bigraphs import (DEFAULT_CENSUS_CELLS, BipartiteGraph, adjacency,
-                       bounds, census_avoiding_graphs, contract, fiber_size,
+from .bigraphs import (BipartiteGraph, adjacency, bounds,
+                       census_avoiding_graphs, contract, fiber_size,
                        graph_of_matrix, graph_of_word, ordered_contains,
                        ordered_contains_bruteforce, pattern_graph)
 from .counting import (catalan, count_avoiders, count_multiset_avoiders,
                        count_multiset_avoiders_bruteforce, iter_words,
                        sequence, stirling_count, total_words)
-from .errors import ParseError
+from .errors import BudgetExceeded, ParseError
 from .matrices import (extremal_f, extremal_table, matrix_contains,
                        perm_to_matrix)
 from .words import (MultisetSpec, Word, canonical_form, complement,
@@ -705,17 +705,22 @@ def _suite_proof_chain(rng: random.Random) -> Iterator[Check]:
     # row: census(p, k, m) = 2^((k-1)km) * sum_{j<k} C(km, j).  At k = 2
     # this is (2m+1) 4^m, and at m = 1 it is 2^(k^2) - 2^(k^2-k)
     full_bad, full_cases = [], 0
-    for k in range(1, 5):
-        for m in range(1, DEFAULT_CENSUS_CELLS // (k * k) + 1):
+    # per k, the largest m checked
+    for k, m_max in ((1, 24), (2, 12), (3, 2), (4, 1)):
+        for m in range(1, m_max + 1):
             want = 2 ** ((k - 1) * k * m) * sum(
                 math.comb(k * m, j) for j in range(k))
             for p in permutations(range(1, k + 1)):
                 full_cases += 1
-                if census_avoiding_graphs(k, m, Word(p)) != want:
+                try:
+                    got = census_avoiding_graphs(k, m, Word(p))
+                except BudgetExceeded:
+                    got = None  # every case here is in reach of the limit
+                if got != want:
                     full_bad.append((k, m, "".join(map(str, p))))
     yield _check("census-full-width", full_bad,
-                 f"{full_cases} censuses: every k-pattern on (k,m) within "
-                 f"{DEFAULT_CENSUS_CELLS} cells, k <= 4, give "
+                 f"{full_cases} censuses: every k-pattern on (k,m), m <= "
+                 "24, 12, 2, 1 at k = 1, 2, 3, 4, give "
                  "2^((k-1)km) sum_{j<k} C(km, j)")
 
     chain_sizes = ((2, 1), (2, 2), (3, 1), (2, 3), (2, 4), (3, 2))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import sys
 from collections import namedtuple
+from decimal import Decimal
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
@@ -140,6 +141,15 @@ def canonical_form(seq: Sequence[int]) -> tuple[int, ...]:
     to seq, preserving relative order and equalities (e.g. 7,1,4 -> 3,1,2)."""
     rank = {v: i for i, v in enumerate(sorted(set(seq)), start=1)}
     return tuple(rank[v] for v in seq)
+
+
+def _decimal(value: int) -> str:
+    """Exact decimal digits of an integer of any size.
+
+    str(int) refuses values past the interpreter's digit limit (4300
+    digits by default); Decimal conversion is exact and not limited.
+    """
+    return str(Decimal(value))
 
 
 def reverse(word: Word) -> Word:

@@ -1,11 +1,12 @@
 import math
 import random
+import re
 import sys
 from itertools import permutations
 
 import pytest
 
-from permpat import bigraphs, matrices, words
+from permpat import errors, matrices, words
 from permpat.bigraphs import (MAX_BOUND_DIGITS, BipartiteGraph, Power,
                               adjacency, bounds, census_avoiding_graphs,
                               contract, fiber_size, graph_of_word,
@@ -202,11 +203,10 @@ class TestCensus:
                 assert (ordered_contains_bruteforce(G, Q)
                         == ordered_contains_bruteforce(H, Q)), (rows, at, Q)
 
-    def test_two_columns_past_the_guard(self, monkeypatch):
+    def test_two_columns_past_the_guard(self):
         # every k-pattern on (k,m) has the full-width closed form
-        # 2^((k-1)km) sum_{j<k} C(km, j), at k = 2 (2m+1) 4^m; the guard
-        # is lifted to reach 48 cells
-        monkeypatch.setattr(bigraphs, "DEFAULT_CENSUS_CELLS", 48)
+        # 2^((k-1)km) sum_{j<k} C(km, j), at k = 2 (2m+1) 4^m; m = 12 is
+        # 48 cells
         for m in range(1, 13):
             for p in ("12", "21"):
                 assert (census_avoiding_graphs(2, m, W(p))
@@ -244,6 +244,26 @@ class TestCensus:
         # a scan of all 2^18 masks by that rule counts 2176
         assert census_avoiding_graphs(3, 2, W("12")) == 2176
         assert census_avoiding_graphs(3, 2, W("21")) == 2176
+        # at larger sizes, a DP down the rows by the same rule: the
+        # state is the lowest column so far, and a row with lowest column
+        # lo and highest hi <= that is one of 2^(hi-lo-1) masks (one when
+        # lo = hi).  Mirroring the columns maps the avoiders of 21 onto
+        # those of 12
+        for n, m, want in ((3, 2, 2176), (3, 3, 32768), (4, 2, 64768),
+                           (3, 5, 4947968), (5, 2, 2013184),
+                           (2, 12, 419430400)):
+            ways = {n - 1: 1}
+            for _ in range(n * m):
+                nxt = dict(ways)
+                for top, w in ways.items():
+                    for hi in range(top + 1):
+                        for lo in range(hi + 1):
+                            masks = 1 if lo == hi else 1 << (hi - lo - 1)
+                            nxt[lo] = nxt.get(lo, 0) + w * masks
+                ways = nxt
+            assert sum(ways.values()) == want, (n, m)
+            for p in ("12", "21"):
+                assert census_avoiding_graphs(n, m, W(p)) == want, (n, m, p)
 
     def test_rows_visited(self, monkeypatch):
         # the walk builds one successor state per row it visits, and only
@@ -264,8 +284,23 @@ class TestCensus:
             assert len(visits) == want, (n, m, p)
 
     def test_budget_refusal(self):
-        with pytest.raises(BudgetExceeded):
-            census_avoiding_graphs(3, 3, W("12"))
+        # 123 on (3,3) visits 541,281 row sequences
+        with pytest.raises(BudgetExceeded, match="census walk: .* work "
+                                                 "limit of 200000"):
+            census_avoiding_graphs(3, 3, W("123"))
+
+    def test_work_limit_boundary(self, monkeypatch):
+        # 12 on (2,12) visits 575 row sequences: answered at that limit,
+        # refused one below with the work done and the limit
+        monkeypatch.setattr(errors, "WORK_LIMIT", 575)
+        assert census_avoiding_graphs(2, 12, W("12")) == 419430400
+        monkeypatch.setattr(errors, "WORK_LIMIT", 574)
+        with pytest.raises(BudgetExceeded) as info:
+            census_avoiding_graphs(2, 12, W("12"))
+        done, limit = re.fullmatch(
+            r"census walk: (\d+) row visits pass the work limit of (\d+)",
+            str(info.value)).groups()
+        assert int(done) > int(limit) == 574
 
     def test_rejects_multiset_pattern(self):
         with pytest.raises(ParseError):

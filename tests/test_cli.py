@@ -1,8 +1,10 @@
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -71,10 +73,15 @@ EXIT_TABLE = [  # (argv, exit code, stdout, stderr fragment)
     ("count --pattern 12 --n 0", 2, "", "n >= 1 values", "count_n_0"),
     ("count --pattern 12 --n 2 --m 0", 2, "", "integers >= 1", "count_m_0"),
     ("count --pattern 12 --n-max 0", 2, "", "n_max must", "n_max_0"),
-    # 1600! has more than 4,300 digits and 100000! more than 450,000; both
-    # are refused from logarithms, before the total is formed
-    *((f"count --pattern 12 --n {n}", 3, "", "exceed the counting budget",
-       f"budget_refusal_{n}") for n in (12, 1600, 100000)),
+    # 12 on [106] takes 198,591 transitions, and [107] passes the limit
+    ("count --pattern 12 --n 107", 3, "",
+     "count engine: 200021 transitions pass the work limit of 200000",
+     "budget_refusal_107"),
+    # more than sqrt(200000) values are refused before the first state
+    *((f"count --pattern 12 --n {n}", 3, "",
+       f"count engine: {n} distinct values would build {n * n} letter "
+       "entries, past the work limit of 200000", f"budget_refusal_{n}")
+      for n in (1600, 100000)),
     # one value: a single arrangement, but one counting layer per letter
     ("count --pattern 12 --n 1 --m 30000000", 3, "",
      "30000000 letters exceed the counting cap of 100000 layers",
@@ -103,8 +110,18 @@ EXIT_TABLE = [  # (argv, exit code, stdout, stderr fragment)
      "unknown_suite_exits_2"),
     ("census --pattern 12 --n 2 --m 2 --workers 2", 2, "",
      "unrecognized arguments: --workers", "census_has_no_workers_option"),
-    ("census --pattern 12 --n 3 --m 3", 3, "", "exceeds the guard",
+    ("census --pattern 123 --n 3 --m 3", 3, "",
+     "census walk: 200002 row visits pass the work limit of 200000",
      "census_budget"),
+    # all 2^16000 graphs avoid a pattern longer than n; 2^(4*10^9) would
+    # pass the digit cap and is refused before it is formed
+    ("census --pattern 123 --n 2 --m 4000", 0,
+     str(Decimal(2 ** 16000)) + "\n", "", "census_past_int_digit_limit"),
+    ("census --pattern 123 --n 2 --m 1000000000", 3, "",
+     "census: base or value would pass 100000 digits", "census_digit_guard"),
+    # the walk nests one call per row
+    ("census --pattern 21 --n 2 --m 600", 3, "",
+     "census walk limited to n*m <= ", "census_recursion_guard"),
     ("census --pattern 12 --n 0 --m 1", 2, "", "n and m must", "census_n_0"),
     ("census --pattern 11 --n 2 --m 1", 2, "", "ordinary permutation",
      "census_repeated_letter"),
@@ -199,6 +216,15 @@ class TestCountCommand:
         code, out, _ = run(capsys, "count", "--pattern", "12", "--n-max", "3")
         rows = list(csv.DictReader(io.StringIO(out)))
         assert [r["count"] for r in rows] == ["1", "1", "1"]
+
+    def test_count_past_float_range(self, capsys):
+        # 300! (615 digits) is answered, with its growth from logarithms
+        code, out, _ = run(capsys, "count", "--pattern", "11", "--n", "300",
+                           "--format", "json")
+        blob = json.loads(out)[0]
+        assert code == 0 and blob["count"] == str(math.factorial(300))
+        assert blob["growth"] == pytest.approx(
+            math.exp(math.lgamma(301) / 300))
 
     def test_count_out_of_range_is_a_refusal(self, capsys, monkeypatch):
         # a count past the total is an engine fault, not an input error

@@ -3,10 +3,11 @@ import csv
 import io
 import json
 import math
+import re
 
 import pytest
 
-from permpat import counting
+from permpat import counting, errors
 from permpat.counting import (CountRecord, CountWork, catalan, count_avoiders,
                               count_multiset_avoiders, iter_words,
                               records_to_csv, records_to_json, sequence,
@@ -84,8 +85,59 @@ class TestCountMultisetAvoiders:
         assert rec.count == rec.total == 3
 
     def test_budget_refusal(self):
-        with pytest.raises(BudgetExceeded):
-            count_multiset_avoiders(MultisetSpec.regular(12, 1), W("12"))
+        # 12 on [106] takes 198,591 transitions; [107] passes the limit
+        with pytest.raises(BudgetExceeded, match="count engine: .* work "
+                                                 "limit of 200000"):
+            count_multiset_avoiders(MultisetSpec.regular(107, 1), W("12"))
+
+    def test_distinct_values_refused_before_any_state(self, monkeypatch):
+        # 448^2 letter entries pass the limit even where no transition
+        # follows, as for the pattern 1
+        def no_letters(self, avail):
+            raise AssertionError("letters built past the value guard")
+
+        monkeypatch.setattr(counting._Engine, "letters", no_letters)
+        with pytest.raises(BudgetExceeded, match="448 distinct values"):
+            count_multiset_avoiders(MultisetSpec.regular(448, 1), W("1"))
+
+    def test_work_limit_boundary(self, monkeypatch):
+        # 123 on [3]_10 takes 5,210 transitions: answered at that limit,
+        # refused one below with the work done and the limit
+        spec = MultisetSpec.regular(3, 10)
+        monkeypatch.setattr(errors, "WORK_LIMIT", 5210)
+        rec = count_multiset_avoiders(spec, W("123"))
+        assert (rec.count, rec.work.transitions) == (1004849563, 5210)
+        monkeypatch.setattr(errors, "WORK_LIMIT", 5209)
+        with pytest.raises(BudgetExceeded) as info:
+            count_multiset_avoiders(spec, W("123"))
+        done, limit = re.fullmatch(
+            r"count engine: (\d+) transitions pass the work limit of (\d+)",
+            str(info.value)).groups()
+        assert int(done) > int(limit) == 5209
+
+    def test_three_patterns_past_the_old_budget(self):
+        # 30!/(10!)^3, about 5.6 * 10^12 arrangements, far past brute
+        # force.  A word over {1,2,3} contains 123 exactly
+        # when a 3 follows a 2 that follows a 1: a scan that tracks how
+        # far that chain has got counts the avoiders independently, and
+        # all six 3-patterns give the same count (Savage-Wilf)
+        ways = {(10, 10, 10, 0): 1}
+        for _ in range(30):
+            nxt: dict = {}
+            for (a, b, c, got), w in ways.items():
+                for v, left in enumerate((a, b, c)):
+                    if not left or got == 2 and v == 2:
+                        continue
+                    moved = [a, b, c]
+                    moved[v] -= 1
+                    key = (*moved, got + 1 if v == got else got)
+                    nxt[key] = nxt.get(key, 0) + w
+            ways = nxt
+        want = sum(ways.values())
+        assert want == 1004849563
+        for p in ("123", "132", "213", "231", "312", "321"):
+            rec = count_multiset_avoiders(MultisetSpec.regular(3, 10), W(p))
+            assert rec.count == want, p
 
 
 class TestTotals:
@@ -127,20 +179,35 @@ class TestSequence:
         assert counts == [1, 3, 15, 105]
 
     def test_refuses_before_counting(self, monkeypatch):
-        # 11! arrangements at n_max = 11 exceed the budget, so no n is counted
+        # [448] passes the distinct-value guard, so no n is counted
         def no_count(self, avail):
-            raise AssertionError("counted before the budget check")
+            raise AssertionError("counted before the value guard")
 
         monkeypatch.setattr(counting._Engine, "count", no_count)
-        with pytest.raises(BudgetExceeded):
-            sequence(W("12"), 11)
+        with pytest.raises(BudgetExceeded, match="448 distinct values"):
+            sequence(W("12"), 448)
+
+    def test_table_shares_one_work_limit(self, monkeypatch):
+        # 12 on [n] for n <= 10 takes 550 transitions in all, 175 of them
+        # at n = 10: the table is answered at a limit of 550 and refused
+        # one below, though each count alone fits
+        records = sequence(W("12"), 10)
+        spent = sum(r.work.transitions for r in records)
+        assert (spent, records[-1].work.transitions) == (550, 175)
+        monkeypatch.setattr(errors, "WORK_LIMIT", spent)
+        assert sequence(W("12"), 10) == records
+        monkeypatch.setattr(errors, "WORK_LIMIT", spent - 1)
+        with pytest.raises(BudgetExceeded,
+                           match=r"count engine: \d+ transitions pass the "
+                                 r"work limit of 549$"):
+            sequence(W("12"), 10)
 
 
 class TestRecordsAndSerialization:
     def test_record_invariants(self):
         rec = count_avoiders(4, W("123"))
         assert 0 <= rec.count <= rec.total
-        assert rec.growth == rec.count ** (1 / rec.length)
+        assert rec.growth == pytest.approx(rec.count ** (1 / rec.length))
         # the count comes from the engine, so this is an internal check
         with pytest.raises(ArithmeticError):
             CountRecord(MultisetSpec((2, 2)), W("12"), 7, 6)
@@ -150,6 +217,19 @@ class TestRecordsAndSerialization:
         assert zero.growth == 0.0
         one = CountRecord(MultisetSpec((1, 1)), W("12"), 1, 2)
         assert one.growth >= 1.0
+
+    def test_values_past_int_digit_limit(self):
+        # C(16000, 8000) has 4,815 digits, past str(int)'s default limit
+        # of 4300, and prints in full as the count and the total
+        total = math.comb(16000, 8000)
+        rec = CountRecord(MultisetSpec.regular(2, 8000), W("1"), total, total)
+        blob = json.loads(records_to_json([rec]))[0]
+        for field in ("count", "total"):
+            digits, value = blob[field], 0
+            for i in range(0, len(digits), 1000):
+                chunk = digits[i:i + 1000]
+                value = value * 10 ** len(chunk) + int(chunk)
+            assert value == total, field
 
     def test_csv_json_same_values(self):
         records = sequence(W("212"), 3, 2)
